@@ -6,6 +6,13 @@ triples up to a bound), eval (ad-hoc normal-form queries), and report
 text or JSON; both are byte-deterministic unless --timings is requested.
 Output is always plain text, so NO_COLOR needs no special handling.
 
+Each example's checks are one ordered table of (name, check) rows; the
+sphere's golden rows run only at (1, 1, 1), and report --list-checks reads
+its names from these tables. A verify computes each D_i(Phi) and each
+pair's curvature report once; the rows and the curvature block read the
+same reports, so --timings charges that memoised work to the first row
+that touches it.
+
 Exit codes: 0 when no check fails (discrepancies allowed), 1 when any
 check fails, 2 for usage or parse errors.
 """
@@ -21,67 +28,12 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import catalog
-from .conn import (
-    connection_apply,
-    curvature_report,
-    deviation_report,
-    make_presentation,
-    trace_over_image,
-)
+from .conn import connection_apply, curvature_report, deviation_report
 from .deriv import bracket
-from .matring import commutator
 from .polycore import ParseError, parse
 from .quotient import QuotientRing
 
-ELLIPSOID_CHECKS = (
-    "idempotent",
-    "kernel-annihilation",
-    "tangency-d1",
-    "tangency-d2",
-    "tangency-d3",
-    "d1M-golden",
-    "d2M-golden",
-    "d3M-golden",
-    "formone-1",
-    "formone-2",
-    "formone-3",
-    "nested-12",
-    "nested-21",
-    "bracket-12",
-    "bracket-13",
-    "bracket-23",
-    "curvature-kernel-12",
-    "curvature-kernel-13",
-    "curvature-kernel-23",
-    "trace-image-12",
-    "trace-image-13",
-    "trace-image-23",
-    "trace-kernel-12",
-    "trace-kernel-13",
-    "trace-kernel-23",
-    "nonflat-12",
-    "deviation",
-)
-
-SPHERE_CHECKS = (
-    "involution",
-    "idempotent",
-    "tangency-D1",
-    "tangency-D2",
-    "tangency-D3",
-    "d1M-golden",
-    "d2M-golden",
-    "d3M-sign",
-    "R12-golden",
-    "trace-image-12",
-    "trace-image-13",
-    "trace-image-23",
-    "trace-normalization",
-    "deviation",
-)
-
-_EXAMPLES = ("ellipsoid", "sphere")
-_MIN_PARAM = {"ellipsoid": 2, "sphere": 1}
+_GOLDEN_TRIPLE = (1, 1, 1)
 _BASE_POINT = (1, 0, 0)
 _PAIRS = ((0, 1, "12"), (0, 2, "13"), (1, 2, "23"))
 
@@ -137,16 +89,6 @@ class VerificationReport:
         }
 
 
-class _CheckRunner:
-    def __init__(self):
-        self.results: list[CheckResult] = []
-
-    def add(self, name: str, thunk):
-        start = time.perf_counter()
-        status, witness = thunk()
-        self.results.append(CheckResult(name, status, witness, time.perf_counter() - start))
-
-
 def _zero_status(value, pass_witness: str = "0"):
     # value is a RingElement, MatrixA, or Derivation difference
     if value.is_zero:
@@ -175,215 +117,263 @@ def _deviation_status(presentation, expected_rank: int):
     return "fail", witness
 
 
-def _ellipsoid_report(p: int, q: int, r: int) -> VerificationReport:
-    ex = catalog.build_ellipsoid_cotangent(p, q, r)
-    pres = ex.presentation
-    phi = pres.phi
-    runner = _CheckRunner()
-    memo: dict = {}
+class _Context:
+    """One example at one triple, with the work its rows share memoised.
 
-    def dphi(i: int):
-        if i not in memo:
-            memo[i] = ex.derivations[i].apply_to_matrix(phi)
-        return memo[i]
+    Each D_i(Phi) and each pair's curvature report is computed once, by
+    whichever row or the curvature block asks for it first.
+    """
 
-    def curv(i: int, j: int):
-        key = (i, j)
-        if key not in memo:
-            memo[key] = commutator(dphi(i), dphi(j))
-        return memo[key]
+    def __init__(self, example: str, p: int, q: int, r: int):
+        self.example = example
+        self.family = _FAMILIES[example]
+        self.params = (p, q, r)
+        self.ex = self.family.build(p, q, r)
+        self.pres = self.ex.presentation
+        self._dphi: dict = {}
+        self._curvature: dict = {}
 
-    runner.add("idempotent", lambda: _zero_status(phi * phi - phi))
-    runner.add(
-        "kernel-annihilation", lambda: _vector_status(phi.mul_vector(ex.dFvec))
-    )
-    for i, d in enumerate(ex.derivations, 1):
-        runner.add(f"tangency-d{i}", lambda d=d: _zero_status(d.modulus_image()))
-    for i in range(3):
-        expected = catalog.reference_expected("ellipsoid", f"d{i + 1}M", p, q, r)
-        runner.add(
-            f"d{i + 1}M-golden",
-            lambda i=i, e=expected: _match_status(dphi(i), e),
-        )
+    def expected(self, check_id: str):
+        return catalog.reference_expected(self.example, check_id, *self.params)
 
-    def formone(i: int):
-        scalar = catalog.reference_expected("ellipsoid", f"formone-scalar-{i + 1}", p, q, r)
-        applied = connection_apply(pres, ex.derivations[i], ex.dFvec)
-        return _vector_status(tuple(a - scalar * v for a, v in zip(applied, ex.dFvec)))
+    def dphi(self, i: int):
+        if i not in self._dphi:
+            self._dphi[i] = self.ex.derivations[i].apply_to_matrix(self.pres.phi)
+        return self._dphi[i]
 
-    for i in range(3):
-        runner.add(f"formone-{i + 1}", lambda i=i: formone(i))
-
-    def nested(first: int, second: int, check_id: str):
-        scalar = catalog.reference_expected("ellipsoid", check_id, p, q, r)
-        inner = connection_apply(pres, ex.derivations[second], ex.dFvec)
-        outer = connection_apply(pres, ex.derivations[first], inner)
-        return _vector_status(tuple(a - scalar * v for a, v in zip(outer, ex.dFvec)))
-
-    runner.add("nested-12", lambda: nested(0, 1, "nested-12-scalar"))
-    runner.add("nested-21", lambda: nested(1, 0, "nested-21-scalar"))
-
-    def bracket_check(i: int, j: int, k: int, tag: str):
-        scalar = catalog.reference_expected("ellipsoid", f"bracket-scalar-{tag}", p, q, r)
-        computed = bracket(ex.derivations[i], ex.derivations[j])
-        expected = ex.derivations[k] * scalar
-        return _zero_status(computed - expected, str(computed))
-
-    runner.add("bracket-12", lambda: bracket_check(0, 1, 2, "12"))
-    runner.add("bracket-13", lambda: bracket_check(0, 2, 1, "13"))
-    runner.add("bracket-23", lambda: bracket_check(1, 2, 0, "23"))
-
-    for i, j, tag in _PAIRS:
-        runner.add(
-            f"curvature-kernel-{tag}",
-            lambda i=i, j=j: _vector_status(curv(i, j).mul_vector(ex.dFvec)),
-        )
-    for i, j, tag in _PAIRS:
-        runner.add(
-            f"trace-image-{tag}",
-            lambda i=i, j=j: _zero_status(trace_over_image(pres, curv(i, j))),
-        )
-    for i, j, tag in _PAIRS:
-        runner.add(
-            f"trace-kernel-{tag}",
-            lambda i=i, j=j: _zero_status((pres.psi * curv(i, j) * pres.psi).trace()),
-        )
-
-    def nonflat():
-        induced = phi * curv(0, 1) * phi
-        if induced.is_zero:
-            return "fail", "0"
-        return "pass", str(induced)
-
-    runner.add("nonflat-12", nonflat)
-    runner.add("deviation", lambda: _deviation_status(pres, 2))
-
-    curvature = tuple(
-        curvature_report(pres, ex.derivations[i], ex.derivations[j], f"d{i + 1}", f"d{j + 1}").to_json()
-        for i, j, _ in _PAIRS
-    )
-    notes = ("point checks evaluate at the on-surface point (1, 0, 0)",)
-    return VerificationReport("ellipsoid", p, q, r, tuple(runner.results), curvature, notes)
-
-
-def _sphere_report(p: int, q: int, r: int) -> VerificationReport:
-    ex = catalog.build_sphere_line_bundle(p, q, r)
-    pres = ex.presentation
-    m = ex.idempotent
-    identity = m + pres.phi  # M + (I - M)
-    runner = _CheckRunner()
-
-    runner.add("involution", lambda: _zero_status(ex.involution * ex.involution - identity))
-    runner.add("idempotent", lambda: _zero_status(m * m - m))
-    for i, d in enumerate(ex.derivations, 1):
-        runner.add(f"tangency-D{i}", lambda d=d: _zero_status(d.modulus_image()))
-
-    notes = [
-        "the line bundle is the kernel of the idempotent M and is presented "
-        "by the complement Phi = I - M",
-    ]
-
-    if (p, q, r) == (1, 1, 1):
-        memo: dict = {}
-
-        def dm(i: int):
-            if i not in memo:
-                memo[i] = ex.derivations[i].apply_to_matrix(m)
-            return memo[i]
-
-        for i in (0, 1):
-            expected = catalog.reference_expected("sphere", f"d{i + 1}M", 1, 1, 1)
-            runner.add(
-                f"d{i + 1}M-golden", lambda i=i, e=expected: _match_status(dm(i), e)
+    def curvature(self, i: int, j: int):
+        if (i, j) not in self._curvature:
+            d, label = self.ex.derivations, self.family.label
+            self._curvature[i, j] = curvature_report(
+                self.pres, d[i], d[j], f"{label}{i + 1}", f"{label}{j + 1}"
             )
+        return self._curvature[i, j]
 
-        def d3m_sign():
-            printed = catalog.reference_expected("sphere", "d3M-printed", 1, 1, 1)
-            computed = dm(2)
-            if (computed - printed).is_zero:
-                return "pass", str(computed)
-            if (computed + printed).is_zero:
-                return "discrepancy", "computed D3(M) = -1 * reference display"
-            return "fail", f"difference {computed - printed}"
 
-        runner.add("d3M-sign", d3m_sign)
-        runner.add(
-            "R12-golden",
-            lambda: _match_status(
-                commutator(dm(0), dm(1)),
-                catalog.reference_expected("sphere", "R12", 1, 1, 1),
-            ),
-        )
+def _per_index(name: str, check):
+    """Rows for the three derivations; name has one {} for the 1-based index."""
+    return tuple((name.format(i + 1), lambda ctx, i=i: check(ctx, i)) for i in range(3))
 
-        pres_m = make_presentation(ex.ring, m)
-        traces = {}
 
-        def trace_check(i: int, j: int, tag: str):
-            computed = trace_over_image(pres_m, commutator(dm(i), dm(j)))
-            traces[tag] = computed
-            golden = catalog.reference_expected("sphere", f"trace-{tag}-image", 1, 1, 1)
-            if (computed - golden).is_zero and not computed.is_zero:
-                return "pass", str(computed)
-            return "fail", f"computed {computed}, expected {golden}"
+def _per_pair(prefix: str, check):
+    """Rows prefix-12, prefix-13, prefix-23 for the three derivation pairs."""
+    return tuple(
+        (f"{prefix}-{tag}", lambda ctx, i=i, j=j: check(ctx, i, j)) for i, j, tag in _PAIRS
+    )
 
-        for i, j, tag in _PAIRS:
-            runner.add(f"trace-image-{tag}", lambda i=i, j=j, tag=tag: trace_check(i, j, tag))
 
-        def trace_normalization():
-            relations = []
-            for _, _, tag in _PAIRS:
-                printed = catalog.reference_expected("sphere", f"trace-{tag}-printed", 1, 1, 1)
-                computed = traces[tag]
-                for factor in (1, -1, 2, -2):
-                    if (printed - computed * factor).is_zero:
-                        relations.append((tag, factor))
-                        break
-                else:
-                    return "fail", f"no constant relation between traces for pair {tag}"
-            if all(factor == 1 for _, factor in relations):
-                return "pass", "reference traces match computed traces"
-            body = "; ".join(
-                f"reference trace = {factor} * computed trace for pair {tag}"
-                for tag, factor in relations
-            )
-            return "discrepancy", body
+def _tangency(ctx: _Context, i: int):
+    return _zero_status(ctx.ex.derivations[i].modulus_image())
 
-        runner.add("trace-normalization", trace_normalization)
-        notes.append(
+
+def _scalar_multiple_status(ctx: _Context, vector, check_id: str):
+    scalar = ctx.expected(check_id)
+    return _vector_status(tuple(a - scalar * v for a, v in zip(vector, ctx.ex.dFvec)))
+
+
+def _formone(ctx: _Context, i: int):
+    applied = connection_apply(ctx.pres, ctx.ex.derivations[i], ctx.ex.dFvec)
+    return _scalar_multiple_status(ctx, applied, f"formone-scalar-{i + 1}")
+
+
+def _nested(ctx: _Context, first: int, second: int):
+    inner = connection_apply(ctx.pres, ctx.ex.derivations[second], ctx.ex.dFvec)
+    outer = connection_apply(ctx.pres, ctx.ex.derivations[first], inner)
+    return _scalar_multiple_status(ctx, outer, f"nested-{first + 1}{second + 1}-scalar")
+
+
+def _bracket(ctx: _Context, i: int, j: int):
+    # [d_i, d_j] is a multiple of the remaining derivation
+    scalar = ctx.expected(f"bracket-scalar-{i + 1}{j + 1}")
+    computed = bracket(ctx.ex.derivations[i], ctx.ex.derivations[j])
+    expected = ctx.ex.derivations[3 - i - j] * scalar
+    return _zero_status(computed - expected, str(computed))
+
+
+def _nonflat(ctx: _Context):
+    phi = ctx.pres.phi
+    induced = phi * ctx.curvature(0, 1).commutator * phi
+    if induced.is_zero:
+        return "fail", "0"
+    return "pass", str(induced)
+
+
+_ELLIPSOID_ROWS = (
+    ("idempotent", lambda ctx: _zero_status(ctx.pres.phi * ctx.pres.phi - ctx.pres.phi)),
+    (
+        "kernel-annihilation",
+        lambda ctx: _vector_status(ctx.pres.phi.mul_vector(ctx.ex.dFvec)),
+    ),
+    *_per_index("tangency-d{}", _tangency),
+    *_per_index(
+        "d{}M-golden",
+        lambda ctx, i: _match_status(ctx.dphi(i), ctx.expected(f"d{i + 1}M")),
+    ),
+    *_per_index("formone-{}", _formone),
+    ("nested-12", lambda ctx: _nested(ctx, 0, 1)),
+    ("nested-21", lambda ctx: _nested(ctx, 1, 0)),
+    *_per_pair("bracket", _bracket),
+    *_per_pair(
+        "curvature-kernel",
+        lambda ctx, i, j: _vector_status(
+            ctx.curvature(i, j).commutator.mul_vector(ctx.ex.dFvec)
+        ),
+    ),
+    *_per_pair("trace-image", lambda ctx, i, j: _zero_status(ctx.curvature(i, j).trace_image)),
+    *_per_pair("trace-kernel", lambda ctx, i, j: _zero_status(ctx.curvature(i, j).trace_kernel)),
+    ("nonflat-12", _nonflat),
+    ("deviation", lambda ctx: _deviation_status(ctx.pres, 2)),
+)
+
+
+def _sphere_dm(ctx: _Context, i: int):
+    # the presentation is Phi = I - M, so D(M) = -D(Phi)
+    return -ctx.dphi(i)
+
+
+def _d3m_sign(ctx: _Context):
+    printed = ctx.expected("d3M-printed")
+    computed = _sphere_dm(ctx, 2)
+    if (computed - printed).is_zero:
+        return "pass", str(computed)
+    if (computed + printed).is_zero:
+        return "discrepancy", "computed D3(M) = -1 * reference display"
+    return "fail", f"difference {computed - printed}"
+
+
+def _sphere_trace(ctx: _Context, i: int, j: int):
+    # Psi = I - Phi = M, so the trace over the image of M is the kernel trace
+    computed = ctx.curvature(i, j).trace_kernel
+    golden = ctx.expected(f"trace-{i + 1}{j + 1}-image")
+    if (computed - golden).is_zero and not computed.is_zero:
+        return "pass", str(computed)
+    return "fail", f"computed {computed}, expected {golden}"
+
+
+def _trace_normalization(ctx: _Context):
+    relations = []
+    for i, j, tag in _PAIRS:
+        printed = ctx.expected(f"trace-{tag}-printed")
+        computed = ctx.curvature(i, j).trace_kernel
+        for factor in (1, -1, 2, -2):
+            if (printed - computed * factor).is_zero:
+                relations.append((tag, factor))
+                break
+        else:
+            return "fail", f"no constant relation between traces for pair {tag}"
+    if all(factor == 1 for _, factor in relations):
+        return "pass", "reference traces match computed traces"
+    body = "; ".join(
+        f"reference trace = {factor} * computed trace for pair {tag}"
+        for tag, factor in relations
+    )
+    return "discrepancy", body
+
+
+_SPHERE_GOLDEN_ROWS = (
+    ("d1M-golden", lambda ctx: _match_status(_sphere_dm(ctx, 0), ctx.expected("d1M"))),
+    ("d2M-golden", lambda ctx: _match_status(_sphere_dm(ctx, 1), ctx.expected("d2M"))),
+    ("d3M-sign", _d3m_sign),
+    (
+        "R12-golden",
+        lambda ctx: _match_status(ctx.curvature(0, 1).commutator, ctx.expected("R12")),
+    ),
+    *_per_pair("trace-image", _sphere_trace),
+    ("trace-normalization", _trace_normalization),
+)
+
+_SPHERE_ROWS = (
+    (
+        "involution",
+        # M + Phi = M + (I - M) is the identity
+        lambda ctx: _zero_status(
+            ctx.ex.involution * ctx.ex.involution - (ctx.ex.idempotent + ctx.pres.phi)
+        ),
+    ),
+    (
+        "idempotent",
+        lambda ctx: _zero_status(ctx.ex.idempotent * ctx.ex.idempotent - ctx.ex.idempotent),
+    ),
+    *_per_index("tangency-D{}", _tangency),
+    *_SPHERE_GOLDEN_ROWS,
+    ("deviation", lambda ctx: _deviation_status(ctx.pres, 1)),
+)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One example: its builder, check table and report notes."""
+
+    build: object  # reaches the catalog builder by name, so a patched binding is used
+    minimum: int  # smallest allowed p, q, r
+    label: str  # derivation prefix in the curvature block
+    rows: tuple  # (name, check) in report order; check(ctx) -> (status, witness)
+    notes: tuple
+    golden_only: frozenset = frozenset()  # row names run only at _GOLDEN_TRIPLE
+    golden_notes: tuple = ()
+
+
+_FAMILIES = {
+    "ellipsoid": _Family(
+        lambda p, q, r: catalog.build_ellipsoid_cotangent(p, q, r),
+        2,
+        "d",
+        _ELLIPSOID_ROWS,
+        ("point checks evaluate at the on-surface point (1, 0, 0)",),
+    ),
+    "sphere": _Family(
+        lambda p, q, r: catalog.build_sphere_line_bundle(p, q, r),
+        1,
+        "D",
+        _SPHERE_ROWS,
+        (
+            "the line bundle is the kernel of the idempotent M and is presented "
+            "by the complement Phi = I - M",
+        ),
+        frozenset(name for name, _ in _SPHERE_GOLDEN_ROWS),
+        (
             "trace-image checks report the trace over the image of M itself "
-            "(the complementary summand); over the line bundle the values negate"
-        )
-        notes.append(
+            "(the complementary summand); over the line bundle the values negate",
             "d3M-sign and trace-normalization record constant-factor differences "
-            "against the transcribed reference displays"
-        )
+            "against the transcribed reference displays",
+        ),
+    ),
+}
 
-    runner.add("deviation", lambda: _deviation_status(pres, 1))
-
-    curvature = tuple(
-        curvature_report(pres, ex.derivations[i], ex.derivations[j], f"D{i + 1}", f"D{j + 1}").to_json()
-        for i, j, _ in _PAIRS
-    )
-    return VerificationReport(
-        "sphere", p, q, r, tuple(runner.results), curvature, tuple(notes)
-    )
+ELLIPSOID_CHECKS = tuple(name for name, _ in _ELLIPSOID_ROWS)
+SPHERE_CHECKS = tuple(name for name, _ in _SPHERE_ROWS)
 
 
 def run_verification(example: str, p: int, q: int, r: int) -> VerificationReport:
-    """Build the example and run its complete check suite."""
-    if example == "ellipsoid":
-        return _ellipsoid_report(p, q, r)
-    if example == "sphere":
-        return _sphere_report(p, q, r)
-    raise UsageError(f"unknown example {example!r}")
+    """Build the example, run and time each row of its check table, and
+    report the curvature of every derivation pair."""
+    if example not in _FAMILIES:
+        raise UsageError(f"unknown example {example!r}")
+    ctx = _Context(example, p, q, r)
+    family = ctx.family
+    golden = (p, q, r) == _GOLDEN_TRIPLE
+    results = []
+    for name, check in family.rows:
+        if name in family.golden_only and not golden:
+            continue
+        start = time.perf_counter()
+        status, witness = check(ctx)
+        results.append(CheckResult(name, status, witness, time.perf_counter() - start))
+    curvature = tuple(ctx.curvature(i, j).to_json() for i, j, _ in _PAIRS)
+    notes = family.notes + (family.golden_notes if golden else ())
+    return VerificationReport(example, p, q, r, tuple(results), curvature, notes)
 
 
 def _require_parameters(example: str, p: int, q: int, r: int):
-    minimum = _MIN_PARAM[example]
+    minimum = _FAMILIES[example].minimum
     if min(p, q, r) < minimum:
         raise UsageError(
             f"example {example!r} requires p, q, r >= {minimum}, got {(p, q, r)}"
         )
+
+
+def _tally_text(tally: dict) -> str:
+    return f"{tally['pass']} pass, {tally['fail']} fail, {tally['discrepancy']} discrepancy"
 
 
 def _render_verification(report: VerificationReport, timings: bool) -> str:
@@ -407,11 +397,7 @@ def _render_verification(report: VerificationReport, timings: bool) -> str:
         lines.append("notes:")
         for note in report.notes:
             lines.append(f"  - {note}")
-    tally = report.counts()
-    lines.append(
-        f"summary: {tally['pass']} pass, {tally['fail']} fail, "
-        f"{tally['discrepancy']} discrepancy"
-    )
+    lines.append(f"summary: {_tally_text(report.counts())}")
     return "\n".join(lines) + "\n"
 
 
@@ -433,7 +419,7 @@ def _sweep_worker(task) -> dict:
 
 def cmd_sweep(args) -> int:
     example = args.example
-    minimum = _MIN_PARAM[example]
+    minimum = _FAMILIES[example].minimum
     if args.max < minimum:
         raise UsageError(f"--max must be >= {minimum} for example {example!r}")
     if args.parallel < 1:
@@ -462,16 +448,11 @@ def cmd_sweep(args) -> int:
         lines = [f"sweep {example} max={args.max} ({len(reports)} triples)"]
         for report in reports:
             params = report["parameters"]
-            tally = report["summary"]
             lines.append(
                 f"  ({params['p']},{params['q']},{params['r']}): "
-                f"{tally['pass']} pass, {tally['fail']} fail, "
-                f"{tally['discrepancy']} discrepancy"
+                f"{_tally_text(report['summary'])}"
             )
-        lines.append(
-            f"summary: {summary['pass']} pass, {summary['fail']} fail, "
-            f"{summary['discrepancy']} discrepancy"
-        )
+        lines.append(f"summary: {_tally_text(summary)}")
         sys.stdout.write("\n".join(lines) + "\n")
     return 1 if failed else 0
 
@@ -521,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run the full check suite for one parameter triple")
-    verify.add_argument("example", choices=_EXAMPLES)
+    verify.add_argument("example", choices=list(_FAMILIES))
     verify.add_argument("--p", type=int, required=True)
     verify.add_argument("--q", type=int, required=True)
     verify.add_argument("--r", type=int, required=True)
@@ -539,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     sweep = sub.add_parser("sweep", help="verify every triple with parameters up to a bound")
-    sweep.add_argument("example", choices=_EXAMPLES)
+    sweep.add_argument("example", choices=list(_FAMILIES))
     sweep.add_argument("--max", type=int, required=True)
     sweep.add_argument("--json", action="store_true", help="emit a JSON report")
     sweep.add_argument(

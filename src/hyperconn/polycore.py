@@ -218,39 +218,18 @@ def _mono(exps: tuple) -> Monomial:
 
 
 class MonomialOrder:
-    """Graded reverse lexicographic order with a fixed variable precedence."""
+    """Graded reverse lexicographic order, variables in their given order."""
 
-    __slots__ = ("kind", "precedence")
-
-    def __init__(self, kind: str = "grevlex", precedence=None):
-        if kind != "grevlex":
-            raise ValueError(f"unsupported monomial order kind {kind!r}")
-        self.kind = kind
-        self.precedence = None if precedence is None else tuple(precedence)
+    __slots__ = ()
 
     @classmethod
     def grevlex(cls, arity: int) -> "MonomialOrder":
-        return cls("grevlex", tuple(range(arity)))
+        # the order is the same for every arity; key reads it off the monomial
+        return cls()
 
     def key(self, m: Monomial):
         e = m.exponents
-        p = self.precedence
-        if p is not None and p != tuple(range(len(e))):
-            if len(p) != len(e):
-                raise ValueError("monomial arity does not match order precedence")
-            e = tuple(e[i] for i in p)
         return (sum(e), tuple(-x for x in reversed(e)))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MonomialOrder):
-            return self.kind == other.kind and self.precedence == other.precedence
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.precedence))
-
-    def __repr__(self) -> str:
-        return f"MonomialOrder({self.kind!r}, {self.precedence!r})"
 
 
 def _check_names(names) -> tuple:
@@ -512,22 +491,6 @@ def _term_text(c: GaussianRational, mtext: str) -> tuple[bool, str]:
     # mixed coefficients keep their own sign inside parentheses
     ctext = f"({c.re}{_signed_imag_text(c.im)})"
     return False, ctext if not mtext else f"{ctext}*{mtext}"
-
-
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def negate(p: Polynomial) -> Polynomial:
-    return -p
-
-
-def scale(c, p: Polynomial) -> Polynomial:
-    return p * _coerce_coeff(c)
 
 
 def divide_remainder(

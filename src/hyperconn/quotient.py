@@ -1,7 +1,7 @@
 """Hypersurface quotient rings A = Q(i)[x1..xn]/(f) with canonical remainders.
 
 Every element is stored as the unique remainder of division by f under the
-ring's monomial order, so equality and zero-testing are exact and all the
+grevlex monomial order, so equality and zero-testing are exact and all the
 identity checks reduce to comparing representatives.
 """
 
@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from .polycore import (
     GaussianRational,
-    MonomialOrder,
     Polynomial,
     divide_remainder,
     parse,
@@ -21,15 +20,14 @@ from .polycore import (
 class QuotientRing:
     """The ring Q(i)[x1..xn]/(f) for a single nonzero, non-constant f."""
 
-    __slots__ = ("names", "modulus", "order", "_hash")
+    __slots__ = ("names", "modulus", "_hash")
 
-    def __init__(self, modulus: Polynomial, order: MonomialOrder | None = None):
+    def __init__(self, modulus: Polynomial):
         if modulus.is_zero or modulus.degree() == 0:
             raise ValueError("the modulus must be nonzero and non-constant")
         self.names = modulus.names
         self.modulus = modulus
-        self.order = order or MonomialOrder.grevlex(len(self.names))
-        self._hash = hash((self.names, self.modulus, self.order))
+        self._hash = hash((self.names, self.modulus))
 
     @classmethod
     def from_text(cls, text: str, names=("x", "y", "z")) -> "QuotientRing":
@@ -43,7 +41,7 @@ class QuotientRing:
         """Canonical normal form of p as an element of the quotient."""
         if p.names != self.names:
             raise ValueError(f"variable mismatch: {p.names} vs {self.names}")
-        _, remainder = divide_remainder(p, self.modulus, self.order)
+        _, remainder = divide_remainder(p, self.modulus)
         return RingElement(self, remainder, _reduced=True)
 
     def element(self, value) -> "RingElement":
@@ -90,11 +88,7 @@ class QuotientRing:
         if self is other:
             return True
         if isinstance(other, QuotientRing):
-            return (
-                self.names == other.names
-                and self.modulus == other.modulus
-                and self.order == other.order
-            )
+            return self.names == other.names and self.modulus == other.modulus
         return NotImplemented
 
     def __hash__(self):
@@ -113,7 +107,7 @@ class RingElement:
         if rep.names != ring.names:
             raise ValueError(f"variable mismatch: {rep.names} vs {ring.names}")
         if not _reduced:
-            _, rep = divide_remainder(rep, ring.modulus, ring.order)
+            _, rep = divide_remainder(rep, ring.modulus)
         self.ring = ring
         self.rep = rep
 
@@ -204,11 +198,3 @@ class RingElement:
 
 def nf(p: Polynomial, ring: QuotientRing) -> RingElement:
     return ring.nf(p)
-
-
-def is_zero(a: RingElement) -> bool:
-    return a.is_zero
-
-
-def evaluate(a: RingElement, point) -> GaussianRational:
-    return a.evaluate(point)

@@ -1,4 +1,4 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and a CLI runner for the test suite.
 
 Every test owns its seed; these helpers only consume the Random instance
 they are handed, so failures reproduce exactly.
@@ -6,12 +6,28 @@ they are handed, so failures reproduce exactly.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 from hyperconn import Derivation, GaussianRational, MatrixA, Polynomial, QuotientRing
 
 NAMES = ("x", "y", "z")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*args):
+    """Run `python -m hyperconn` in a child process that imports this checkout."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "hyperconn", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def random_fraction(rng: Random, span: int = 6) -> Fraction:

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import subprocess
-import sys
 import time
 from random import Random
 
@@ -34,17 +32,9 @@ from hyperconn import (
     trace_over_kernel,
 )
 from hyperconn.cli import CheckResult, VerificationReport, run_verification
-from helpers import random_element, random_matrix, random_tangent
+from helpers import random_element, random_matrix, random_tangent, run_cli
 
 TRIPLES = list(itertools.product((2, 3, 4), repeat=3))
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "hyperconn", *args],
-        capture_output=True,
-        text=True,
-    )
 
 
 def test_ellipsoid_identities_all_27_triples():

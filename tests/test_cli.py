@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import jsonschema
@@ -21,16 +19,10 @@ from hyperconn.cli import (
     main,
     run_verification,
 )
+from hyperconn.matring import MatrixA
+from helpers import run_cli
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "hyperconn", *args],
-        capture_output=True,
-        text=True,
-    )
 
 
 def load_schema():
@@ -151,6 +143,36 @@ def test_report_list_checks_covers_report_names():
         for check in report.checks:
             assert check.name in listing[example]
         assert [c.name for c in report.checks] == list(listing[example])
+    # away from (1, 1, 1) the sphere runs its table without the golden rows
+    golden = {
+        "d1M-golden",
+        "d2M-golden",
+        "d3M-sign",
+        "R12-golden",
+        "trace-image-12",
+        "trace-image-13",
+        "trace-image-23",
+        "trace-normalization",
+    }
+    report = run_verification("sphere", 2, 1, 1)
+    assert [c.name for c in report.checks] == [n for n in SPHERE_CHECKS if n not in golden]
+    assert report.counts() == {"pass": 6, "fail": 0, "discrepancy": 0}
+
+
+@pytest.mark.parametrize("example, triple", [("ellipsoid", (2, 3, 4)), ("sphere", (1, 1, 1))])
+def test_verification_shares_curvature_work(monkeypatch, example, triple):
+    # rows and the curvature block share one curvature report per pair, so
+    # a verify makes no more matrix products than those reports need
+    calls = []
+    original = MatrixA.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(MatrixA, "__mul__", counting_mul)
+    run_verification(example, *triple)
+    assert len(calls) <= 28
 
 
 def test_report_requires_flag():

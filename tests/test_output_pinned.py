@@ -1,0 +1,51 @@
+"""Pinned CLI output: the SHA-256 of stdout for representative invocations.
+
+The digests fix the exact bytes of default text and JSON output, so a
+refactor of the report code cannot change what users see.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from hyperconn.cli import main
+
+PINNED = [
+    (
+        ["sweep", "ellipsoid", "--max", "3", "--json"],
+        "77688616c6d0cf440ce2c022e9d7126824021ab4d2f19bcb657cb1693b1a1d39",
+    ),
+    (
+        ["sweep", "sphere", "--max", "2", "--json"],
+        "9a26986e60c0ff4de32e7828fc6e86ac992c8a63dfbd96b0f19fa6cd866c03a5",
+    ),
+    (
+        ["verify", "sphere", "--p", "1", "--q", "1", "--r", "1"],
+        "db7fdb5124dec6349b30680e83259f992bea98ab533fac10c5eed88b52b0d23a",
+    ),
+    (
+        ["verify", "ellipsoid", "--p", "2", "--q", "3", "--r", "4"],
+        "2c17a9eccb81327e1b07afb70a07641ee14c6a9636cfe01a6f19dd27d2bda69c",
+    ),
+    (
+        ["report", "--list-checks"],
+        "8d4d658d477568c5e638569ea3d351c94e6422aa8948ed14a28cb2ea276a2a93",
+    ),
+    (
+        ["report", "--list-checks", "--json"],
+        "ef649c10a8e1e956f12d63efa64b7a3a1ea5b9df551ce883ec67655a570fc2ac",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED, ids=[" ".join(a) for a, _ in PINNED])
+def test_output_digest(argv, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
