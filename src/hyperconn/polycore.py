@@ -10,6 +10,7 @@ recursive-descent parser round-trips the canonical text form.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -501,6 +502,10 @@ def divide_remainder(
     No monomial of the remainder is divisible by the leading monomial of f
     under the given order, so the remainder is the canonical normal form of
     p modulo the ideal (f).
+
+    The working terms are visited largest first through a heap (Johnson
+    1974; Monagan and Pearce 2007), so each step costs O(log n) instead of a
+    scan of every remaining term.
     """
     if f.is_zero:
         raise ValueError("division by the zero polynomial")
@@ -508,45 +513,61 @@ def divide_remainder(
     order = order or MonomialOrder.grevlex(p.arity)
     lead = f.leading_monomial(order)
     lead_exps = lead.exponents
-    lc = f.leading_coefficient(order)
-    tail = [(m, c) for m, c in f._terms.items() if m != lead]
-    key = order.key
+    lc = f._terms[lead]
+    tail = [(m.exponents, c) for m, c in f._terms.items() if m != lead]
 
-    work = dict(p._terms)
+    # Keyed by exponent tuple. The heap holds _heap_key entries of the
+    # monomials that entered work; an entry whose monomial has since left
+    # work is stale and skipped (if the monomial came back, it was pushed
+    # again). Every tail product is below the popped monomial, so a popped
+    # monomial never returns and pops come in strictly decreasing order.
+    work = {m.exponents: c for m, c in p._terms.items()}
+    heap = [_heap_key(e) for e in work]
+    heapify(heap)
     quotient: dict[Monomial, GaussianRational] = {}
     remainder: dict[Monomial, GaussianRational] = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        exps = m.exponents
+    while heap:
+        exps = heappop(heap)[1][::-1]
+        c = work.pop(exps, None)
+        if c is None:
+            continue
         if all(a >= b for a, b in zip(exps, lead_exps)):
             t = tuple(a - b for a, b in zip(exps, lead_exps))
             factor = c / lc
-            tm = _mono(t)
-            acc = quotient.get(tm)
-            if acc is None:
-                quotient[tm] = factor
-            else:
-                s = acc + factor
-                if s:
-                    quotient[tm] = s
-                else:
-                    del quotient[tm]
-            for fm, fc in tail:
-                mm = _mono(tuple(a + b for a, b in zip(t, fm.exponents)))
+            quotient[_mono(t)] = factor
+            for fe, fc in tail:
+                mm = tuple(a + b for a, b in zip(t, fe))
                 delta = factor * fc
                 acc = work.get(mm)
-                s = -delta if acc is None else acc - delta
-                if s:
-                    work[mm] = s
-                elif acc is not None:
-                    del work[mm]
+                if acc is None:
+                    work[mm] = -delta
+                    heappush(heap, _heap_key(mm))
+                else:
+                    s = acc - delta
+                    if s:
+                        work[mm] = s
+                    else:
+                        del work[mm]
         else:
-            remainder[m] = c
+            remainder[_mono(exps)] = c
     return Polynomial._raw(p.names, quotient), Polynomial._raw(p.names, remainder)
 
 
+def _heap_key(exps: tuple) -> tuple:
+    """MonomialOrder.key negated component by component: (-degree, reversed
+    exponents). On a min-heap the grevlex-largest monomial comes first."""
+    return (-sum(exps), exps[::-1])
+
+
 _OPS = frozenset("+-*/^()")
+# str.isdigit also accepts non-ASCII digits such as superscripts, which int() rejects
+_DIGITS = frozenset("0123456789")
+
+# Parse limits; exceeding either raises ParseError. Each nesting level costs
+# a few interpreter frames, so the depth limit stays well inside Python's
+# default recursion limit of 1000.
+MAX_NESTING = 100
+MAX_EXPONENT = 1000
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -557,11 +578,15 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # longer than the interpreter's int string limit
+                raise ParseError("integer literal is too long", i) from None
+            tokens.append(("int", value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -585,12 +610,15 @@ class _Parser:
     #   expr  := term (('+'|'-') term)*
     #   term  := unary (('*'|'/') unary)*     divisor must be a nonzero constant
     #   unary := '-' unary | power
-    #   power := atom ('^' INT)?              exponent: non-negative integer literal
+    #   power := atom ('^' INT)?              exponent: integer literal 0..MAX_EXPONENT
     #   atom  := INT | 'i' | NAME | '(' expr ')'
+    # Open parentheses and unary minus signs count towards one nesting
+    # depth, at most MAX_NESTING at any point.
 
     def __init__(self, tokens, names):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.names = names
         self.index = {name: k for k, name in enumerate(names)}
 
@@ -601,6 +629,11 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def nest(self, pos):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", pos)
 
     def expr(self) -> Polynomial:
         left = self.term()
@@ -632,10 +665,13 @@ class _Parser:
                 return left
 
     def unary(self) -> Polynomial:
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.take()
-            return -self.unary()
+            self.nest(pos)
+            result = -self.unary()
+            self.depth -= 1
+            return result
         return self.power()
 
     def power(self) -> Polynomial:
@@ -648,6 +684,8 @@ class _Parser:
                 raise ParseError("negative exponent", pos)
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer literal", pos)
+            if value > MAX_EXPONENT:
+                raise ParseError(f"exponent {value} exceeds the limit of {MAX_EXPONENT}", pos)
             return base**value
         return base
 
@@ -663,10 +701,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", pos)
             return Polynomial.variable(self.names, idx)
         if kind == "op" and value == "(":
+            self.nest(pos)
             inner = self.expr()
             kind, value, pos = self.take()
             if kind != "op" or value != ")":
                 raise ParseError("expected ')'", pos)
+            self.depth -= 1
             return inner
         if kind == "end":
             raise ParseError("unexpected end of input", pos)
@@ -676,9 +716,13 @@ class _Parser:
 def parse(text: str, names=("x", "y", "z")) -> Polynomial:
     """Parse polynomial text over the named variables.
 
-    Accepts integers, `/` by nonzero constants, the literal `i`, `+ - * ^`
-    and parentheses. Implicit multiplication is not allowed. Parsing the
-    canonical printed form returns an equal polynomial.
+    Accepts integers (ASCII digits), `/` by nonzero constants, the literal
+    `i`, `+ - * ^` and parentheses. Implicit multiplication is not allowed.
+    Parsing the canonical printed form returns an equal polynomial.
+
+    Raises ParseError on malformed text, on an exponent literal above
+    MAX_EXPONENT (1000), and on parentheses and unary minus signs nested
+    more than MAX_NESTING (100) deep; the CLI reports these with exit 2.
     """
     names = _check_names(names)
     parser = _Parser(_tokenize(text), names)

@@ -19,7 +19,7 @@ NAMES = ("x", "y", "z")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     """Run `python -m hyperconn` in a child process that imports this checkout."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run(
@@ -27,6 +27,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
 
 

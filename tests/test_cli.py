@@ -20,6 +20,7 @@ from hyperconn.cli import (
     run_verification,
 )
 from hyperconn.matring import MatrixA
+from hyperconn.polycore import MAX_EXPONENT
 from helpers import run_cli
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
@@ -130,6 +131,31 @@ def test_eval_parse_error_exit_2():
     assert "parse error" in result.stderr
     result = run_cli("eval", "x", "mod", "7")
     assert result.returncode == 2
+
+
+def test_eval_non_ascii_digit_exit_2():
+    result = run_cli("eval", "x^\u00b2", "mod", "x^2-1")  # superscript two
+    assert result.returncode == 2
+    assert "parse error" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_eval_deep_nesting_exit_2(capsys):
+    parentheses = "(" * 3000 + "x" + ")" * 3000
+    assert main(["eval", parentheses, "mod", "x^2-1"]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+    assert main(["eval", "0" + "-" * 3000 + "x", "mod", "x^2-1"]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+
+
+def test_eval_exponent_cap_exit_2():
+    for exponent in (MAX_EXPONENT + 1, 999999999):
+        result = run_cli("eval", f"x^{exponent}", "mod", "x^2-1", timeout=60)
+        assert result.returncode == 2
+        assert "exceeds the limit" in result.stderr
+    accepted = run_cli("eval", f"x^{MAX_EXPONENT}", "mod", "x^2-1", timeout=60)
+    assert accepted.returncode == 0
+    assert accepted.stdout == "1\n"
 
 
 def test_report_list_checks_covers_report_names():

@@ -39,6 +39,18 @@ PINNED = [
         ["report", "--list-checks", "--json"],
         "ef649c10a8e1e956f12d63efa64b7a3a1ea5b9df551ce883ec67655a570fc2ac",
     ),
+    (
+        ["eval", "(x+y+z)^24", "mod", "x^2+y^2+z^2-1"],
+        "16d82122bf0042c313568e8589a9d8a24cca83f04cca71f7f3bdb30c0e177191",
+    ),
+    (
+        ["eval", "((1+i)*x-1/2*y+2*z)^15", "mod", "x^2*y+y^2*z+x*z^2-1"],
+        "765205009dccd5981e179f4ae9f38e559800a99b911cfac37471c2fe329ca34f",
+    ),
+    (
+        ["eval", "(x-i*y+z/2)^18", "mod", "x^3+y^4+z^5-1"],
+        "896aa591cb69b454403616aba185fa892e53547e3f7fc920ce34faa257e701fd",
+    ),
 ]
 
 

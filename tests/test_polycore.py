@@ -6,6 +6,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperconn import (
     GaussianRational,
@@ -13,10 +15,74 @@ from hyperconn import (
     MonomialOrder,
     ParseError,
     Polynomial,
+    QuotientRing,
     divide_remainder,
     parse,
 )
+from hyperconn.polycore import MAX_EXPONENT, MAX_NESTING, _heap_key, _mono
 from helpers import NAMES, nonzero_gaussian, nonzero_polynomial, random_gaussian, random_polynomial
+
+# Deterministic and bounded, so the property tests run the same examples
+# every time and add only a few seconds.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150, database=None)
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+gaussians = st.builds(GaussianRational, fractions, fractions)
+nonzero_gaussians = gaussians.filter(bool)
+exponent_vectors = st.tuples(*[st.integers(0, 4)] * len(NAMES))
+polynomials = st.dictionaries(exponent_vectors, gaussians, max_size=10).map(
+    lambda terms: Polynomial(NAMES, terms)
+)
+divisors = st.dictionaries(exponent_vectors, nonzero_gaussians, min_size=1, max_size=4).map(
+    lambda terms: Polynomial(NAMES, terms)
+)
+
+
+def rescan_divide_remainder(p, f):
+    """Reference division: find each leading term by rescanning all of work.
+
+    This is the quadratic kernel that divide_remainder replaced; it stays
+    here only to check that the heap-driven kernel agrees with it exactly.
+    """
+    order = MonomialOrder.grevlex(p.arity)
+    lead = f.leading_monomial(order)
+    lead_exps = lead.exponents
+    lc = f.leading_coefficient(order)
+    tail = [(m, c) for m, c in f.terms.items() if m != lead]
+    key = order.key
+
+    work = dict(p.terms)
+    quotient = {}
+    remainder = {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        exps = m.exponents
+        if all(a >= b for a, b in zip(exps, lead_exps)):
+            t = tuple(a - b for a, b in zip(exps, lead_exps))
+            factor = c / lc
+            tm = _mono(t)
+            acc = quotient.get(tm)
+            if acc is None:
+                quotient[tm] = factor
+            else:
+                s = acc + factor
+                if s:
+                    quotient[tm] = s
+                else:
+                    del quotient[tm]
+            for fm, fc in tail:
+                mm = _mono(tuple(a + b for a, b in zip(t, fm.exponents)))
+                delta = factor * fc
+                acc = work.get(mm)
+                s = -delta if acc is None else acc - delta
+                if s:
+                    work[mm] = s
+                elif acc is not None:
+                    del work[mm]
+        else:
+            remainder[m] = c
+    return Polynomial(p.names, quotient), Polynomial(p.names, remainder)
 
 
 def test_gaussian_basic_values():
@@ -158,6 +224,48 @@ def test_divide_remainder_leading_term_cancellation():
     assert rem == parse("-y^2-z^2+1")
 
 
+@PROPERTY
+@given(polynomials, divisors)
+# y*z is cancelled after x*y is reduced, then x*z creates it again: the
+# heap holds a stale entry for it next to the live one
+@example(parse("x^2-y*z"), parse("x-y-z"))
+@example(parse("(x+y+z)^6"), parse("x^2+y^2+z^2-1"))
+def test_heap_division_matches_rescan_reference(p, f):
+    q, rem = divide_remainder(p, f)
+    ref_q, ref_rem = rescan_divide_remainder(p, f)
+    # same terms in the same order, so printed and hashed forms agree too
+    assert list(q.terms.items()) == list(ref_q.terms.items())
+    assert list(rem.terms.items()) == list(ref_rem.terms.items())
+
+
+@PROPERTY
+@given(polynomials, divisors)
+def test_division_identity_and_reduced_remainder(p, f):
+    q, rem = divide_remainder(p, f)
+    assert q * f + rem == p
+    lead = f.leading_monomial()
+    assert not any(lead.divides(m) for m in rem.terms)
+
+
+@PROPERTY
+@given(polynomials, divisors.filter(lambda f: f.degree() > 0))
+def test_nf_is_idempotent(p, f):
+    ring = QuotientRing(f)
+    once = ring.nf(p)
+    assert ring.nf(once.rep) == once
+    assert ring.nf(once.rep).rep.terms == once.rep.terms
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=2, max_size=30, unique=True)
+))
+def test_heap_key_order_is_grevlex(vectors):
+    key = MonomialOrder.grevlex(len(vectors[0])).key
+    by_key = sorted(vectors, key=lambda e: key(Monomial(e)), reverse=True)
+    assert sorted(vectors, key=_heap_key) == by_key
+
+
 def test_divide_by_zero_raises():
     with pytest.raises(ValueError):
         divide_remainder(parse("x"), Polynomial(NAMES))
@@ -202,3 +310,36 @@ def test_parse_rejects_reserved_names():
         parse("a+b", names=("a", "i"))
     with pytest.raises(ValueError):
         Polynomial(("x", "x"), {})
+
+
+def test_parse_accepts_only_ascii_digits():
+    with pytest.raises(ParseError) as err:
+        parse("x^\u00b2")  # superscript two passes str.isdigit
+    assert err.value.position == 2
+    with pytest.raises(ParseError):
+        parse("\u0663*x")  # Arabic-Indic digit three
+    with pytest.raises(ParseError):
+        parse("1" * 5000)  # beyond the interpreter's int string limit
+
+
+def test_parse_exponent_cap():
+    assert parse(f"x^{MAX_EXPONENT}") == Polynomial(NAMES, {(MAX_EXPONENT, 0, 0): 1})
+    with pytest.raises(ParseError) as err:
+        parse(f"x^{MAX_EXPONENT + 1}")
+    assert err.value.position == 2
+    with pytest.raises(ParseError):
+        parse("x^999999999")
+
+
+@pytest.mark.parametrize(
+    "opening, closing",
+    [("(", ")"), ("-", ""), ("-(", ")")],
+    ids=["parentheses", "unary-minus", "mixed"],
+)
+def test_parse_nesting_limit(opening, closing):
+    levels = MAX_NESTING // len(opening)
+    assert parse(opening * levels + "x" + closing * levels) == parse("x")  # even levels
+    with pytest.raises(ParseError):
+        parse(opening * (levels + 1) + "x" + closing * (levels + 1))
+    with pytest.raises(ParseError):
+        parse(opening * 3000 + "x" + closing * 3000)
