@@ -18,7 +18,7 @@ from .polycore import (
 )
 from .quotient import QuotientRing, RingElement, nf
 from .matring import CharPoly, MatrixA, char_poly, commutator, determinant, rank_at_point, trace
-from .deriv import Derivation, TangencyError, apply, apply_to_matrix, bracket, make_derivation
+from .deriv import Derivation, TangencyError, apply, apply_to_matrix, bracket, koszul_derivations
 from .conn import (
     CurvatureReport,
     DeviationReport,
@@ -77,7 +77,7 @@ __all__ = [
     "deviation_report",
     "divide_remainder",
     "is_flat_pair",
-    "make_derivation",
+    "koszul_derivations",
     "make_presentation",
     "modified_curvature",
     "nf",

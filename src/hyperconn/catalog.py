@@ -1,10 +1,13 @@
 """Constructors for the two bundled example families.
 
-The first family presents the cotangent-style module on the hypersurface
-x^p + y^q + z^r - 1 by its fundamental idempotent together with the
-gradient coefficient vector and three generating tangent derivations. The
-second presents a line bundle on x^(2p) + y^(2q) + z^(2r) - 1 through an
-involution-derived idempotent.
+Both families live on a hypersurface f = x^a + y^b + z^c - 1 and take
+their tangent derivations from one generic construction, the Koszul fields
+f_j*d/dx_i - f_i*d/dx_j of `deriv.koszul_derivations`. The first family
+presents the cotangent-style module on x^p + y^q + z^r - 1 by the
+Euler-vector projector Phi = I - grad(f)*E^T with E = (x/p, y/q, z/r),
+whose kernel is spanned by grad(f). The second presents a line bundle on
+x^(2p) + y^(2q) + z^(2r) - 1 through an involution-derived idempotent,
+with the Koszul fields scaled by 1/2, 1/2 and -1/2.
 
 `reference_expected` stores the worked displays for both families as
 transcription templates, kept separate from the constructions so golden
@@ -24,7 +27,7 @@ from fractions import Fraction
 from .polycore import GaussianRational, Polynomial
 from .quotient import QuotientRing, RingElement
 from .matring import MatrixA
-from .deriv import Derivation, make_derivation
+from .deriv import Derivation, koszul_derivations
 from .conn import ProjectivePresentation, make_presentation
 
 _NAMES = ("x", "y", "z")
@@ -83,64 +86,29 @@ class SphereLineBundle:
     derivations: tuple[Derivation, Derivation, Derivation]
 
 
-def _ellipsoid_ring(p: int, q: int, r: int) -> QuotientRing:
-    return QuotientRing(_poly((1, p, 0, 0), (1, 0, q, 0), (1, 0, 0, r), (-1, 0, 0, 0)))
-
-
-def _ellipsoid_m(ring: QuotientRing, p: int, q: int, r: int) -> MatrixA:
-    return MatrixA.from_rows(
-        ring,
-        [
-            [
-                _poly((1, 0, 0, 0), (-1, p, 0, 0)),
-                _poly((Fraction(-p, q), p - 1, 1, 0)),
-                _poly((Fraction(-p, r), p - 1, 0, 1)),
-            ],
-            [
-                _poly((Fraction(-q, p), 1, q - 1, 0)),
-                _poly((1, 0, 0, 0), (-1, 0, q, 0)),
-                _poly((Fraction(-q, r), 0, q - 1, 1)),
-            ],
-            [
-                _poly((Fraction(-r, p), 1, 0, r - 1)),
-                _poly((Fraction(-r, q), 0, 1, r - 1)),
-                _poly((1, 0, 0, 0), (-1, 0, 0, r)),
-            ],
-        ],
-    )
-
-
-def _ellipsoid_dfvec(p: int, q: int, r: int):
-    return (
-        _poly((p, p - 1, 0, 0)),
-        _poly((q, 0, q - 1, 0)),
-        _poly((r, 0, 0, r - 1)),
-    )
+def _fermat_ring(a: int, b: int, c: int) -> QuotientRing:
+    """The quotient ring of x^a + y^b + z^c - 1."""
+    return QuotientRing(_poly((1, a, 0, 0), (1, 0, b, 0), (1, 0, 0, c), (-1, 0, 0, 0)))
 
 
 def build_ellipsoid_cotangent(p: int, q: int, r: int) -> EllipsoidCotangent:
-    """Build the cotangent-style example; all invariants verified here."""
+    """Build the cotangent-style example; all invariants verified here.
+
+    f is weighted homogeneous minus 1, so the Euler field E = (x/p, y/q, z/r)
+    gives E(f) = f + 1, which is 1 in A. Hence Phi = I - grad(f)*E^T is
+    idempotent and annihilates grad(f), the kernel generator dFvec; the
+    derivations are the Koszul fields of f.
+    """
     _check_parameters(p, q, r, 2)
-    ring = _ellipsoid_ring(p, q, r)
-    m = _ellipsoid_m(ring, p, q, r)
-    dfvec = tuple(ring.element(v) for v in _ellipsoid_dfvec(p, q, r))
+    ring = _fermat_ring(p, q, r)
+    grad = [ring.modulus.partial_derivative(k) for k in range(3)]
+    euler = [Polynomial.variable(ring.names, k) * Fraction(1, w) for k, w in enumerate((p, q, r))]
+    m = MatrixA.from_rows(
+        ring, [[int(i == j) - grad[i] * euler[j] for j in range(3)] for i in range(3)]
+    )
+    dfvec = tuple(ring.element(g) for g in grad)
     presentation = make_presentation(ring, m, dfvec)
-    d1 = make_derivation(
-        ring, (_poly((q, 0, q - 1, 0)), _poly((-p, p - 1, 0, 0)), _poly())
-    )
-    d2 = make_derivation(
-        ring, (_poly((r, 0, 0, r - 1)), _poly(), _poly((-p, p - 1, 0, 0)))
-    )
-    d3 = make_derivation(
-        ring, (_poly(), _poly((r, 0, 0, r - 1)), _poly((-q, 0, q - 1, 0)))
-    )
-    return EllipsoidCotangent(p, q, r, ring, presentation, (d1, d2, d3), dfvec)
-
-
-def _sphere_ring(p: int, q: int, r: int) -> QuotientRing:
-    return QuotientRing(
-        _poly((1, 2 * p, 0, 0), (1, 0, 2 * q, 0), (1, 0, 0, 2 * r), (-1, 0, 0, 0))
-    )
+    return EllipsoidCotangent(p, q, r, ring, presentation, koszul_derivations(ring), dfvec)
 
 
 def _sphere_involution(ring: QuotientRing, p: int, q: int, r: int) -> MatrixA:
@@ -157,34 +125,46 @@ def _sphere_involution(ring: QuotientRing, p: int, q: int, r: int) -> MatrixA:
 def build_sphere_line_bundle(p: int, q: int, r: int) -> SphereLineBundle:
     """Build the line-bundle example; the involution square is verified."""
     _check_parameters(p, q, r, 1)
-    ring = _sphere_ring(p, q, r)
+    ring = _fermat_ring(2 * p, 2 * q, 2 * r)
     involution = _sphere_involution(ring, p, q, r)
     identity = MatrixA.identity(ring, 2)
     square_defect = involution * involution - identity
     if not square_defect.is_zero:
         raise ValueError(f"involution square defect: {square_defect}")
-    idempotent = (involution + identity).scale(Fraction(1, 2))
+    half = Fraction(1, 2)
+    idempotent = (involution + identity).scale(half)
     presentation = make_presentation(ring, identity - idempotent)
-    d1 = make_derivation(
-        ring, (_poly((q, 0, 2 * q - 1, 0)), _poly((-p, 2 * p - 1, 0, 0)), _poly())
-    )
-    d2 = make_derivation(
-        ring, (_poly((r, 0, 0, 2 * r - 1)), _poly(), _poly((-p, 2 * p - 1, 0, 0)))
-    )
-    d3 = make_derivation(
-        ring, (_poly(), _poly((-r, 0, 0, 2 * r - 1)), _poly((q, 0, 2 * q - 1, 0)))
-    )
-    return SphereLineBundle(
-        p, q, r, ring, involution, idempotent, presentation, (d1, d2, d3)
-    )
+    k12, k13, k23 = koszul_derivations(ring)
+    derivations = (k12 * half, k13 * half, k23 * -half)
+    return SphereLineBundle(p, q, r, ring, involution, idempotent, presentation, derivations)
 
 
 def _ellipsoid_expected(check_id: str, p: int, q: int, r: int):
-    ring = _ellipsoid_ring(p, q, r)
+    ring = _fermat_ring(p, q, r)
     if check_id == "M":
-        return _ellipsoid_m(ring, p, q, r)
+        return MatrixA.from_rows(
+            ring,
+            [
+                [
+                    _poly((1, 0, 0, 0), (-1, p, 0, 0)),
+                    _poly((Fraction(-p, q), p - 1, 1, 0)),
+                    _poly((Fraction(-p, r), p - 1, 0, 1)),
+                ],
+                [
+                    _poly((Fraction(-q, p), 1, q - 1, 0)),
+                    _poly((1, 0, 0, 0), (-1, 0, q, 0)),
+                    _poly((Fraction(-q, r), 0, q - 1, 1)),
+                ],
+                [
+                    _poly((Fraction(-r, p), 1, 0, r - 1)),
+                    _poly((Fraction(-r, q), 0, 1, r - 1)),
+                    _poly((1, 0, 0, 0), (-1, 0, 0, r)),
+                ],
+            ],
+        )
     if check_id == "dFvec":
-        return tuple(ring.element(v) for v in _ellipsoid_dfvec(p, q, r))
+        dfvec = (_poly((p, p - 1, 0, 0)), _poly((q, 0, q - 1, 0)), _poly((r, 0, 0, r - 1)))
+        return tuple(ring.element(v) for v in dfvec)
     if check_id == "d1M":
         return MatrixA.from_rows(
             ring,
@@ -363,7 +343,7 @@ def _sphere_displays(ring: QuotientRing) -> dict[str, MatrixA]:
 
 
 def _sphere_expected(check_id: str, p: int, q: int, r: int):
-    ring = _sphere_ring(p, q, r)
+    ring = _fermat_ring(2 * p, 2 * q, 2 * r)
     if check_id == "P-corrected":
         return _sphere_involution(ring, p, q, r)
     if check_id == "P-printed":

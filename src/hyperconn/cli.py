@@ -14,7 +14,8 @@ same reports, so --timings charges that memoised work to the first row
 that touches it.
 
 Exit codes: 0 when no check fails (discrepancies allowed), 1 when any
-check fails, 2 for usage or parse errors.
+check fails, 2 for usage or parse errors, 3 for an internal error (any
+other exception, reported as one "internal error: ..." line on stderr).
 """
 
 from __future__ import annotations
@@ -543,10 +544,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _guard_eval_operands(argv: list) -> list:
+    """Put `--` after `eval` so an operand led by `-`, such as -x, is not read
+    as an option; left alone when the command already holds -h, --help or --."""
+    if argv[:1] == ["eval"] and not {"-h", "--help", "--"} & set(argv[1:]):
+        return ["eval", "--", *argv[1:]]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_guard_eval_operands(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -555,6 +565,10 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # a bug, never to be mistaken for a failed check
+        detail = " ".join(str(err).split())
+        print(f"internal error: {type(err).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ the chain rule on reduced representatives and reduces once at the end.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .polycore import GaussianRational, Polynomial
 from .matring import MatrixA
@@ -125,9 +126,20 @@ class Derivation:
         return f"Derivation({self!s})"
 
 
-def make_derivation(ring: QuotientRing, images) -> Derivation:
-    """Build a derivation from generator images, enforcing tangency."""
-    return Derivation(ring, images)
+def koszul_derivations(ring: QuotientRing) -> tuple[Derivation, ...]:
+    """The Koszul fields f_j*d/dx_i - f_i*d/dx_j, f_k = df/dx_k, for i < j.
+
+    Each sends f to f_j*f_i - f_i*f_j = 0, so it is tangent; the
+    constructor confirms that anyway. The pairs (i, j) come in
+    lexicographic order: (0, 1), (0, 2), (1, 2) in three variables.
+    """
+    grad = [ring.modulus.partial_derivative(k) for k in range(ring.arity)]
+    fields = []
+    for i, j in combinations(range(ring.arity), 2):
+        images = [Polynomial.zero(ring.names)] * ring.arity
+        images[i], images[j] = grad[j], -grad[i]
+        fields.append(Derivation(ring, images))
+    return tuple(fields)
 
 
 def apply(delta: Derivation, a: RingElement) -> RingElement:

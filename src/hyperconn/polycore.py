@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import comb
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -494,14 +495,12 @@ def _term_text(c: GaussianRational, mtext: str) -> tuple[bool, str]:
     return False, ctext if not mtext else f"{ctext}*{mtext}"
 
 
-def divide_remainder(
-    p: Polynomial, f: Polynomial, order: MonomialOrder | None = None
-) -> tuple[Polynomial, Polynomial]:
+def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Divide p by the single divisor f: p = quotient*f + remainder.
 
-    No monomial of the remainder is divisible by the leading monomial of f
-    under the given order, so the remainder is the canonical normal form of
-    p modulo the ideal (f).
+    No monomial of the remainder is divisible by the grevlex leading
+    monomial of f, so the remainder is the canonical normal form of p
+    modulo the ideal (f).
 
     The working terms are visited largest first through a heap (Johnson
     1974; Monagan and Pearce 2007), so each step costs O(log n) instead of a
@@ -510,8 +509,7 @@ def divide_remainder(
     if f.is_zero:
         raise ValueError("division by the zero polynomial")
     p._require_same_names(f)
-    order = order or MonomialOrder.grevlex(p.arity)
-    lead = f.leading_monomial(order)
+    lead = f.leading_monomial()
     lead_exps = lead.exponents
     lc = f._terms[lead]
     tail = [(m.exponents, c) for m, c in f._terms.items() if m != lead]
@@ -563,11 +561,14 @@ _OPS = frozenset("+-*/^()")
 # str.isdigit also accepts non-ASCII digits such as superscripts, which int() rejects
 _DIGITS = frozenset("0123456789")
 
-# Parse limits; exceeding either raises ParseError. Each nesting level costs
+# Parse limits; exceeding any raises ParseError. Each nesting level costs
 # a few interpreter frames, so the depth limit stays well inside Python's
-# default recursion limit of 1000.
+# default recursion limit of 1000. A power of a t-term base to the e has at
+# most C(e+t-1, t-1) terms, and that bound is checked before the power runs:
+# (x+y+z)^42 (946 terms) passes, (x+y+z)^44 (1035 terms) does not.
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
+MAX_POWER_TERMS = 1000
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -610,7 +611,8 @@ class _Parser:
     #   expr  := term (('+'|'-') term)*
     #   term  := unary (('*'|'/') unary)*     divisor must be a nonzero constant
     #   unary := '-' unary | power
-    #   power := atom ('^' INT)?              exponent: integer literal 0..MAX_EXPONENT
+    #   power := atom ('^' INT)?              exponent: integer literal 0..MAX_EXPONENT,
+    #                                         result bound at most MAX_POWER_TERMS
     #   atom  := INT | 'i' | NAME | '(' expr ')'
     # Open parentheses and unary minus signs count towards one nesting
     # depth, at most MAX_NESTING at any point.
@@ -686,6 +688,8 @@ class _Parser:
                 raise ParseError("exponent must be a non-negative integer literal", pos)
             if value > MAX_EXPONENT:
                 raise ParseError(f"exponent {value} exceeds the limit of {MAX_EXPONENT}", pos)
+            if comb(value + max(len(base.terms), 1) - 1, value) > MAX_POWER_TERMS:
+                raise ParseError(f"power may have more than {MAX_POWER_TERMS} terms", pos)
             return base**value
         return base
 
@@ -721,8 +725,10 @@ def parse(text: str, names=("x", "y", "z")) -> Polynomial:
     Parsing the canonical printed form returns an equal polynomial.
 
     Raises ParseError on malformed text, on an exponent literal above
-    MAX_EXPONENT (1000), and on parentheses and unary minus signs nested
-    more than MAX_NESTING (100) deep; the CLI reports these with exit 2.
+    MAX_EXPONENT (1000), on a power whose result may have more than
+    MAX_POWER_TERMS (1000) terms, and on parentheses and unary minus signs
+    nested more than MAX_NESTING (100) deep; the CLI reports these with
+    exit 2.
     """
     names = _check_names(names)
     parser = _Parser(_tokenize(text), names)

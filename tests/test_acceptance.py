@@ -12,6 +12,7 @@ import time
 from random import Random
 
 from hyperconn import (
+    Derivation,
     MatrixA,
     QuotientRing,
     bracket,
@@ -20,7 +21,6 @@ from hyperconn import (
     char_poly,
     commutator,
     connection_apply,
-    make_derivation,
     make_presentation,
     modified_curvature,
     operator_commutator_matrix,
@@ -174,7 +174,7 @@ def test_operator_property_suites():
         ("z", "0", "-x"),
         ("0", "-z", "y"),
     )
-    fields = [make_derivation(ring, images) for images in rotations]
+    fields = [Derivation(ring, images) for images in rotations]
     rng = Random(660033)
     for _ in range(100):
         d = rng.choice(fields)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import product
 from random import Random
 
 import pytest
 
 from hyperconn import (
     MatrixA,
+    QuotientRing,
     apply_to_matrix,
     bracket,
     build_ellipsoid_cotangent,
@@ -15,7 +17,9 @@ from hyperconn import (
     commutator,
     connection_apply,
     curvature_matrix,
+    koszul_derivations,
     make_presentation,
+    parse,
     reference_expected,
     trace_over_image,
 )
@@ -50,6 +54,37 @@ def test_ellipsoid_m_matches_template():
         ex = build_ellipsoid_cotangent(p, q, r)
         assert ex.presentation.phi == reference_expected("ellipsoid", "M", p, q, r)
         assert ex.dFvec == reference_expected("ellipsoid", "dFvec", p, q, r)
+
+
+def _images(ring, texts):
+    return tuple(ring.element(parse(t)) for t in texts)
+
+
+def test_koszul_derivations_match_explicit_formulas():
+    # on x^p + y^q + z^r - 1: d1 = (f_y, -f_x, 0), d2 = (f_z, 0, -f_x), d3 = (0, f_z, -f_y)
+    for p, q, r in product(range(2, 6), repeat=3):
+        ring = QuotientRing(parse(f"x^{p}+y^{q}+z^{r}-1"))
+        fx, fy, fz = f"{p}*x^{p - 1}", f"{q}*y^{q - 1}", f"{r}*z^{r - 1}"
+        expected = ((fy, f"-{fx}", "0"), (fz, "0", f"-{fx}"), ("0", fz, f"-{fy}"))
+        fields = koszul_derivations(ring)
+        assert [d.images for d in fields] == [_images(ring, e) for e in expected]
+        assert build_ellipsoid_cotangent(p, q, r).derivations == fields
+
+
+def test_sphere_derivations_are_scaled_koszul_fields():
+    # on x^(2p) + y^(2q) + z^(2r) - 1 the fields are (K12/2, K13/2, -K23/2)
+    for p, q, r in product(range(1, 4), repeat=3):
+        ex = build_sphere_line_bundle(p, q, r)
+        x, y, z = f"x^{2 * p - 1}", f"y^{2 * q - 1}", f"z^{2 * r - 1}"
+        expected = (
+            (f"{q}*{y}", f"-{p}*{x}", "0"),
+            (f"{r}*{z}", "0", f"-{p}*{x}"),
+            ("0", f"-{r}*{z}", f"{q}*{y}"),
+        )
+        assert [d.images for d in ex.derivations] == [_images(ex.ring, e) for e in expected]
+        k12, k13, k23 = koszul_derivations(ex.ring)
+        d1, d2, d3 = ex.derivations
+        assert (d1 * 2, d2 * 2, d3 * -2) == (k12, k13, k23)
 
 
 def test_ellipsoid_m_222_entries():

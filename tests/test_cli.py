@@ -20,7 +20,7 @@ from hyperconn.cli import (
     run_verification,
 )
 from hyperconn.matring import MatrixA
-from hyperconn.polycore import MAX_EXPONENT
+from hyperconn.polycore import MAX_EXPONENT, MAX_POWER_TERMS
 from helpers import run_cli
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
@@ -158,6 +158,25 @@ def test_eval_exponent_cap_exit_2():
     assert accepted.stdout == "1\n"
 
 
+def test_eval_power_term_bound_exit_2():
+    # the exponent literal is under the cap, but the expansion would not finish
+    result = run_cli("eval", "(x+y+z)^1000", "mod", "x^2+y^2+z^2-1", timeout=30)
+    assert result.returncode == 2
+    assert f"more than {MAX_POWER_TERMS} terms" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_eval_operands_led_by_minus(capsys):
+    result = run_cli("eval", "-x", "mod", "x^2-1")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "-x\n", "")
+    assert main(["eval", "x", "mod", "-x^2+1"]) == 0
+    assert capsys.readouterr().out == "x\n"
+    assert main(["eval", "--", "-x", "mod", "x^2-1"]) == 0
+    assert capsys.readouterr().out == "-x\n"
+    assert main(["eval", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: hyperconn eval")
+
+
 def test_report_list_checks_covers_report_names():
     result = run_cli("report", "--list-checks", "--json")
     assert result.returncode == 0
@@ -222,6 +241,17 @@ def test_main_returns_codes_without_exiting():
     assert main(["report", "--list-checks"]) == 0
     assert main(["verify", "ellipsoid", "--p", "1", "--q", "2", "--r", "2"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_internal_error_exit_3(monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("simulated\nfault")
+
+    monkeypatch.setattr("hyperconn.cli.run_verification", broken)
+    assert main(["verify", "ellipsoid", "--p", "2", "--q", "2", "--r", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: simulated fault\n"
 
 
 def test_sweep_bound_usage_error():

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from hyperconn import (
+    Derivation,
     MatrixA,
     PresentationError,
     QuotientRing,
@@ -18,7 +19,6 @@ from hyperconn import (
     curvature_report,
     deviation_report,
     is_flat_pair,
-    make_derivation,
     make_presentation,
     modified_curvature,
     operator_commutator_matrix,
@@ -30,9 +30,9 @@ from helpers import random_element, random_matrix, random_tangent
 
 SPHERE = QuotientRing(parse("x^2+y^2+z^2-1"))
 GENS = (
-    make_derivation(SPHERE, ("y", "-x", "0")),
-    make_derivation(SPHERE, ("z", "0", "-x")),
-    make_derivation(SPHERE, ("0", "z", "-y")),
+    Derivation(SPHERE, ("y", "-x", "0")),
+    Derivation(SPHERE, ("z", "0", "-x")),
+    Derivation(SPHERE, ("0", "z", "-y")),
 )
 
 

@@ -7,11 +7,11 @@ from random import Random
 import pytest
 
 from hyperconn import (
+    Derivation,
     QuotientRing,
     TangencyError,
     apply_to_matrix,
     bracket,
-    make_derivation,
     parse,
 )
 from helpers import random_element, random_matrix, random_tangent
@@ -19,23 +19,23 @@ from helpers import random_element, random_matrix, random_tangent
 SPHERE = QuotientRing(parse("x^2+y^2+z^2-1"))
 
 # rotational fields are tangent to the sphere
-D1 = make_derivation(SPHERE, ("y", "-x", "0"))
-D2 = make_derivation(SPHERE, ("z", "0", "-x"))
-D3 = make_derivation(SPHERE, ("0", "z", "-y"))
+D1 = Derivation(SPHERE, ("y", "-x", "0"))
+D2 = Derivation(SPHERE, ("z", "0", "-x"))
+D3 = Derivation(SPHERE, ("0", "z", "-y"))
 GENS = (D1, D2, D3)
 
 
 def test_tangency_enforced():
     with pytest.raises(TangencyError):
-        make_derivation(SPHERE, ("1", "0", "0"))
+        Derivation(SPHERE, ("1", "0", "0"))
     with pytest.raises(TangencyError):
-        make_derivation(SPHERE, ("y", "x", "0"))
+        Derivation(SPHERE, ("y", "x", "0"))
     assert D1.modulus_image().is_zero
 
 
 def test_wrong_image_count_rejected():
     with pytest.raises(ValueError):
-        make_derivation(SPHERE, ("y", "-x"))
+        Derivation(SPHERE, ("y", "-x"))
 
 
 def test_apply_known_values():

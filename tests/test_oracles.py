@@ -148,6 +148,18 @@ def test_ellipsoid_differentials_rederived_with_sympy():
         (sp.Integer(0), r * Z ** (r - 1), -q * Y ** (q - 1)),
     ]
     ex = build_ellipsoid_cotangent(p, q, r)
+    # the hand-typed display is the Euler-vector projector I - grad(f)*E^T
+    grad = sp.Matrix([sp.diff(f, s) for s in SYMS])
+    euler = sp.Matrix([X / p, Y / q, Z / r])
+    assert sp.expand(sp.eye(3) - grad * euler.T - m) == sp.zeros(3, 3)
+    golden_m = reference_expected("ellipsoid", "M", p, q, r)
+    for i in range(3):
+        for j in range(3):
+            assert divisible(to_sympy(golden_m.entry(i, j).rep) - m[i, j], f)
+            assert divisible(to_sympy(ex.presentation.phi.entry(i, j).rep) - m[i, j], f)
+    golden_dfvec = reference_expected("ellipsoid", "dFvec", p, q, r)
+    for ours, theirs in zip(golden_dfvec, grad):
+        assert divisible(to_sympy(ours.rep) - theirs, f)
     for index, image in enumerate(images, 1):
         derived = m.applyfunc(
             lambda e: sp.expand(

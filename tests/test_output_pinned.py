@@ -32,6 +32,14 @@ PINNED = [
         "2c17a9eccb81327e1b07afb70a07641ee14c6a9636cfe01a6f19dd27d2bda69c",
     ),
     (
+        ["verify", "ellipsoid", "--p", "5", "--q", "4", "--r", "3", "--json"],
+        "066b20264580d200b546c5035ce78bde102b2e766ea72681fedd1619ed8f0321",
+    ),
+    (
+        ["sweep", "sphere", "--max", "3", "--json"],
+        "98c46647e5d3cfa31ee6e667534de4c0ac7c30ef5da99d2a40eefe9b39fe2272",
+    ),
+    (
         ["report", "--list-checks"],
         "8d4d658d477568c5e638569ea3d351c94e6422aa8948ed14a28cb2ea276a2a93",
     ),

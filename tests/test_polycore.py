@@ -331,6 +331,19 @@ def test_parse_exponent_cap():
         parse("x^999999999")
 
 
+def test_parse_power_term_bound():
+    # (x+y+z)^e has C(e+2, 2) terms: 990 at e = 43, 1035 at e = 44
+    assert len(parse("(x+y+z)^43").terms) == 990
+    with pytest.raises(ParseError) as err:
+        parse("(x+y+z)^44")
+    assert err.value.position == 8
+    # the bound counts the terms of the base, however it is written
+    with pytest.raises(ParseError):
+        parse("((x+y+z)^2)^20")
+    assert parse("0^1000").is_zero
+    assert parse("(2*x)^1000") == Polynomial(NAMES, {(1000, 0, 0): 2**1000})
+
+
 @pytest.mark.parametrize(
     "opening, closing",
     [("(", ")"), ("-", ""), ("-(", ")")],
