@@ -9,16 +9,15 @@ commutator with trace obstructions split over image and kernel.
 
 from .polycore import (
     GaussianRational,
-    Monomial,
     MonomialOrder,
     ParseError,
     Polynomial,
     divide_remainder,
     parse,
 )
-from .quotient import QuotientRing, RingElement, nf
-from .matring import CharPoly, MatrixA, char_poly, commutator, determinant, rank_at_point, trace
-from .deriv import Derivation, TangencyError, apply, apply_to_matrix, bracket, koszul_derivations
+from .quotient import QuotientRing, RingElement
+from .matring import CharPoly, MatrixA, commutator
+from .deriv import Derivation, TangencyError, bracket, koszul_derivations
 from .conn import (
     CurvatureReport,
     DeviationReport,
@@ -28,7 +27,6 @@ from .conn import (
     curvature_matrix,
     curvature_report,
     deviation_report,
-    is_flat_pair,
     make_presentation,
     modified_curvature,
     operator_commutator_matrix,
@@ -53,7 +51,6 @@ __all__ = [
     "EllipsoidCotangent",
     "GaussianRational",
     "MatrixA",
-    "Monomial",
     "MonomialOrder",
     "ParseError",
     "Polynomial",
@@ -63,29 +60,21 @@ __all__ = [
     "RingElement",
     "SphereLineBundle",
     "TangencyError",
-    "apply",
-    "apply_to_matrix",
     "bracket",
     "build_ellipsoid_cotangent",
     "build_sphere_line_bundle",
-    "char_poly",
     "commutator",
     "connection_apply",
     "curvature_matrix",
     "curvature_report",
-    "determinant",
     "deviation_report",
     "divide_remainder",
-    "is_flat_pair",
     "koszul_derivations",
     "make_presentation",
     "modified_curvature",
-    "nf",
     "operator_commutator_matrix",
     "parse",
-    "rank_at_point",
     "reference_expected",
-    "trace",
     "trace_over_image",
     "trace_over_kernel",
     "__version__",

@@ -111,22 +111,18 @@ def build_ellipsoid_cotangent(p: int, q: int, r: int) -> EllipsoidCotangent:
     return EllipsoidCotangent(p, q, r, ring, presentation, koszul_derivations(ring), dfvec)
 
 
-def _sphere_involution(ring: QuotientRing, p: int, q: int, r: int) -> MatrixA:
+def build_sphere_line_bundle(p: int, q: int, r: int) -> SphereLineBundle:
+    """Build the line-bundle example; the involution square is verified."""
+    _check_parameters(p, q, r, 1)
+    ring = _fermat_ring(2 * p, 2 * q, 2 * r)
     # (2,1) entry is forced to y^q - i*z^r by P^2 = I; see reference_expected("sphere", "P-printed")
-    return MatrixA.from_rows(
+    involution = MatrixA.from_rows(
         ring,
         [
             [_poly((1, p, 0, 0)), _poly((1, 0, q, 0), (_I, 0, 0, r))],
             [_poly((1, 0, q, 0), (-_I, 0, 0, r)), _poly((-1, p, 0, 0))],
         ],
     )
-
-
-def build_sphere_line_bundle(p: int, q: int, r: int) -> SphereLineBundle:
-    """Build the line-bundle example; the involution square is verified."""
-    _check_parameters(p, q, r, 1)
-    ring = _fermat_ring(2 * p, 2 * q, 2 * r)
-    involution = _sphere_involution(ring, p, q, r)
     identity = MatrixA.identity(ring, 2)
     square_defect = involution * involution - identity
     if not square_defect.is_zero:
@@ -344,15 +340,15 @@ def _sphere_displays(ring: QuotientRing) -> dict[str, MatrixA]:
 
 def _sphere_expected(check_id: str, p: int, q: int, r: int):
     ring = _fermat_ring(2 * p, 2 * q, 2 * r)
-    if check_id == "P-corrected":
-        return _sphere_involution(ring, p, q, r)
-    if check_id == "P-printed":
-        # verbatim transcription; its (2,1) entry reads y^p - i*z^r
+    if check_id in ("P-printed", "P-corrected"):
+        # the printed (2,1) entry reads y^p - i*z^r; the corrected one,
+        # y^q - i*z^r, squares to the identity
+        y = p if check_id == "P-printed" else q
         return MatrixA.from_rows(
             ring,
             [
                 [_poly((1, p, 0, 0)), _poly((1, 0, q, 0), (_I, 0, 0, r))],
-                [_poly((1, 0, p, 0), (-_I, 0, 0, r)), _poly((-1, p, 0, 0))],
+                [_poly((1, 0, y, 0), (-_I, 0, 0, r)), _poly((-1, p, 0, 0))],
             ],
         )
     display_ids = {

@@ -136,12 +136,6 @@ def trace_over_kernel(p: ProjectivePresentation, c: MatrixA) -> RingElement:
     return (p.psi * c * p.psi).trace()
 
 
-def is_flat_pair(p: ProjectivePresentation, delta: Derivation, eta: Derivation) -> bool:
-    """True when the induced curvature endomorphism Phi*C*Phi vanishes."""
-    c = curvature_matrix(p, delta, eta)
-    return (p.phi * c * p.phi).is_zero
-
-
 @dataclass(frozen=True)
 class CurvatureReport:
     """Curvature data for one derivation pair."""
@@ -150,7 +144,11 @@ class CurvatureReport:
     commutator: MatrixA
     trace_image: RingElement
     trace_kernel: RingElement
-    induced_nonzero: bool
+    induced: MatrixA  # Phi*C*Phi, the endomorphism C induces on the module
+
+    @property
+    def induced_nonzero(self) -> bool:
+        return not self.induced.is_zero
 
     def to_json(self) -> dict:
         return {
@@ -175,8 +173,8 @@ def curvature_report(
     total = c.trace()
     if trace_image + trace_kernel != total or not total.is_zero:
         raise PresentationError("trace split failed to sum to the (zero) commutator trace")
-    induced_nonzero = not (p.phi * c * p.phi).is_zero
-    return CurvatureReport((label_delta, label_eta), c, trace_image, trace_kernel, induced_nonzero)
+    induced = p.phi * c * p.phi
+    return CurvatureReport((label_delta, label_eta), c, trace_image, trace_kernel, induced)
 
 
 def operator_commutator_matrix(

@@ -142,14 +142,6 @@ def koszul_derivations(ring: QuotientRing) -> tuple[Derivation, ...]:
     return tuple(fields)
 
 
-def apply(delta: Derivation, a: RingElement) -> RingElement:
-    return delta.apply(a)
-
-
-def apply_to_matrix(delta: Derivation, m: MatrixA) -> MatrixA:
-    return delta.apply_to_matrix(m)
-
-
 def bracket(delta: Derivation, eta: Derivation) -> Derivation:
     """The Lie bracket, with images delta(eta(x_i)) - eta(delta(x_i))."""
     if delta.ring != eta.ring:

@@ -416,19 +416,3 @@ def commutator(a: MatrixA, b: MatrixA) -> MatrixA:
         raise ValueError("commutator requires square matrices")
     a._require_same_shape(b)
     return a * b - b * a
-
-
-def trace(a: MatrixA) -> RingElement:
-    return a.trace()
-
-
-def determinant(a: MatrixA) -> RingElement:
-    return a.determinant()
-
-
-def char_poly(g: MatrixA) -> CharPoly:
-    return g.char_poly()
-
-
-def rank_at_point(a: MatrixA, point) -> int:
-    return a.rank_at_point(point)

@@ -1,10 +1,11 @@
 """Exact sparse multivariate polynomial arithmetic over the Gaussian rationals.
 
 Coefficients are elements of Q(i) held as pairs of reduced Fractions.
-Polynomials are sparse maps from monomials to nonzero coefficients, so
-equality is equality of term maps. A graded reverse lexicographic order
-fixes leading terms and makes division remainders canonical. A small
-recursive-descent parser round-trips the canonical text form.
+Polynomials are sparse maps from monomials, which are plain exponent
+tuples, to nonzero coefficients, so equality is equality of term maps. A
+graded reverse lexicographic order fixes leading terms and makes division
+remainders canonical. A small recursive-descent parser round-trips the
+canonical text form.
 """
 
 from __future__ import annotations
@@ -158,80 +159,24 @@ GaussianRational.ONE = GaussianRational(1)
 GaussianRational.I = GaussianRational(0, 1)
 
 
-class Monomial:
-    """Exponent vector of a power product. Instances are treated as immutable."""
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents):
-        exps = tuple(exponents)
-        for e in exps:
-            if not isinstance(e, int) or e < 0:
-                raise ValueError(f"exponents must be non-negative integers, got {exps!r}")
-        self.exponents = exps
-
-    @property
-    def arity(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        return _mono(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def divide(self, other: "Monomial") -> "Monomial":
-        # self / other; requires other.divides(self)
-        exps = tuple(a - b for a, b in zip(self.exponents, other.exponents))
-        if any(e < 0 for e in exps):
-            raise ValueError(f"{other!r} does not divide {self!r}")
-        return _mono(exps)
-
-    def text(self, names) -> str:
-        parts = []
-        for name, e in zip(names, self.exponents):
-            if e == 1:
-                parts.append(name)
-            elif e:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Monomial):
-            return self.exponents == other.exponents
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __repr__(self) -> str:
-        return f"Monomial({self.exponents!r})"
-
-
-def _mono(exps: tuple) -> Monomial:
-    # internal fast path: exponents already known valid
-    m = object.__new__(Monomial)
-    m.exponents = exps
-    return m
-
-
 class MonomialOrder:
-    """Graded reverse lexicographic order, variables in their given order."""
+    """Graded reverse lexicographic order on exponent tuples, variables in
+    their given order."""
 
     __slots__ = ()
 
-    @classmethod
-    def grevlex(cls, arity: int) -> "MonomialOrder":
-        # the order is the same for every arity; key reads it off the monomial
-        return cls()
-
-    def key(self, m: Monomial):
-        e = m.exponents
+    def key(self, e: tuple):
         return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def _monomial_text(exps: tuple, names) -> str:
+    parts = []
+    for name, e in zip(names, exps):
+        if e == 1:
+            parts.append(name)
+        elif e:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts)
 
 
 def _check_names(names) -> tuple:
@@ -265,14 +210,16 @@ class Polynomial:
 
     def __init__(self, names, terms=None):
         self.names = _check_names(names)
-        clean: dict[Monomial, GaussianRational] = {}
+        clean: dict[tuple, GaussianRational] = {}
         arity = len(self.names)
         if terms:
             for m, c in terms.items():
-                if not isinstance(m, Monomial):
-                    m = Monomial(m)
-                if m.arity != arity:
-                    raise ValueError(f"monomial arity {m.arity} does not match {arity}")
+                m = tuple(m)
+                for e in m:
+                    if not isinstance(e, int) or e < 0:
+                        raise ValueError(f"exponents must be non-negative integers, got {m!r}")
+                if len(m) != arity:
+                    raise ValueError(f"monomial arity {len(m)} does not match {arity}")
                 c = _coerce_coeff(c)
                 if c:
                     clean[m] = c
@@ -295,7 +242,7 @@ class Polynomial:
         c = _coerce_coeff(value)
         if not c:
             return cls._raw(names, {})
-        return cls._raw(names, {_mono((0,) * len(names)): c})
+        return cls._raw(names, {(0,) * len(names): c})
 
     @classmethod
     def variable(cls, names, index: int) -> "Polynomial":
@@ -303,7 +250,7 @@ class Polynomial:
         if not 0 <= index < len(names):
             raise ValueError(f"variable index {index} out of range")
         exps = tuple(1 if k == index else 0 for k in range(len(names)))
-        return cls._raw(names, {_mono(exps): GaussianRational.ONE})
+        return cls._raw(names, {exps: GaussianRational.ONE})
 
     @property
     def terms(self) -> dict:
@@ -324,19 +271,16 @@ class Polynomial:
     def degree(self) -> int:
         if not self._terms:
             return -1
-        return max(m.degree for m in self._terms)
+        return max(sum(m) for m in self._terms)
 
-    def leading_monomial(self, order: MonomialOrder | None = None) -> Monomial:
+    def leading_monomial(self) -> tuple:
+        """The grevlex-largest exponent tuple."""
         if not self._terms:
             raise ValueError("the zero polynomial has no leading monomial")
-        order = order or MonomialOrder.grevlex(self.arity)
-        return max(self._terms, key=order.key)
-
-    def leading_coefficient(self, order: MonomialOrder | None = None) -> GaussianRational:
-        return self._terms[self.leading_monomial(order)]
+        return max(self._terms, key=MonomialOrder().key)
 
     def constant_coefficient(self) -> GaussianRational:
-        return self._terms.get(_mono((0,) * self.arity), GaussianRational.ZERO)
+        return self._terms.get((0,) * self.arity, GaussianRational.ZERO)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -405,12 +349,11 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_names(other)
-        result: dict[Monomial, GaussianRational] = {}
+        result: dict[tuple, GaussianRational] = {}
         get = result.get
         for m1, c1 in self._terms.items():
-            e1 = m1.exponents
             for m2, c2 in other._terms.items():
-                m = _mono(tuple(a + b for a, b in zip(e1, m2.exponents)))
+                m = tuple(a + b for a, b in zip(m1, m2))
                 c = c1 * c2
                 acc = get(m)
                 if acc is None:
@@ -436,13 +379,13 @@ class Polynomial:
     def partial_derivative(self, index: int) -> "Polynomial":
         if not 0 <= index < self.arity:
             raise ValueError(f"variable index {index} out of range for arity {self.arity}")
-        result: dict[Monomial, GaussianRational] = {}
+        result: dict[tuple, GaussianRational] = {}
         for m, c in self._terms.items():
-            e = m.exponents[index]
+            e = m[index]
             if e:
-                exps = list(m.exponents)
+                exps = list(m)
                 exps[index] = e - 1
-                result[_mono(tuple(exps))] = c * e
+                result[tuple(exps)] = c * e
         return Polynomial._raw(self.names, result)
 
     def evaluate(self, point) -> GaussianRational:
@@ -452,7 +395,7 @@ class Polynomial:
         total = GaussianRational.ZERO
         for m, c in self._terms.items():
             term = c
-            for v, e in zip(values, m.exponents):
+            for v, e in zip(values, m):
                 if e:
                     term = term * v**e
             total = total + term
@@ -461,10 +404,9 @@ class Polynomial:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        order = MonomialOrder.grevlex(self.arity)
         pieces = []
-        for m in sorted(self._terms, key=order.key, reverse=True):
-            negative, body = _term_text(self._terms[m], m.text(self.names))
+        for m in sorted(self._terms, key=MonomialOrder().key, reverse=True):
+            negative, body = _term_text(self._terms[m], _monomial_text(m, self.names))
             if not pieces:
                 pieces.append(("-" if negative else "") + body)
             else:
@@ -510,29 +452,28 @@ def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomi
         raise ValueError("division by the zero polynomial")
     p._require_same_names(f)
     lead = f.leading_monomial()
-    lead_exps = lead.exponents
     lc = f._terms[lead]
-    tail = [(m.exponents, c) for m, c in f._terms.items() if m != lead]
+    tail = [(m, c) for m, c in f._terms.items() if m != lead]
 
-    # Keyed by exponent tuple. The heap holds _heap_key entries of the
-    # monomials that entered work; an entry whose monomial has since left
-    # work is stale and skipped (if the monomial came back, it was pushed
-    # again). Every tail product is below the popped monomial, so a popped
-    # monomial never returns and pops come in strictly decreasing order.
-    work = {m.exponents: c for m, c in p._terms.items()}
+    # The heap holds _heap_key entries of the monomials that entered work;
+    # an entry whose monomial has since left work is stale and skipped (if
+    # the monomial came back, it was pushed again). Every tail product is
+    # below the popped monomial, so a popped monomial never returns and pops
+    # come in strictly decreasing order.
+    work = dict(p._terms)
     heap = [_heap_key(e) for e in work]
     heapify(heap)
-    quotient: dict[Monomial, GaussianRational] = {}
-    remainder: dict[Monomial, GaussianRational] = {}
+    quotient: dict[tuple, GaussianRational] = {}
+    remainder: dict[tuple, GaussianRational] = {}
     while heap:
         exps = heappop(heap)[1][::-1]
         c = work.pop(exps, None)
         if c is None:
             continue
-        if all(a >= b for a, b in zip(exps, lead_exps)):
-            t = tuple(a - b for a, b in zip(exps, lead_exps))
+        if all(a >= b for a, b in zip(exps, lead)):
+            t = tuple(a - b for a, b in zip(exps, lead))
             factor = c / lc
-            quotient[_mono(t)] = factor
+            quotient[t] = factor
             for fe, fc in tail:
                 mm = tuple(a + b for a, b in zip(t, fe))
                 delta = factor * fc
@@ -547,7 +488,7 @@ def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomi
                     else:
                         del work[mm]
         else:
-            remainder[_mono(exps)] = c
+            remainder[exps] = c
     return Polynomial._raw(p.names, quotient), Polynomial._raw(p.names, remainder)
 
 

@@ -194,7 +194,3 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"RingElement({self.rep!s} mod {self.ring.modulus!s})"
-
-
-def nf(p: Polynomial, ring: QuotientRing) -> RingElement:
-    return ring.nf(p)

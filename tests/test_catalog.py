@@ -10,7 +10,6 @@ import pytest
 from hyperconn import (
     MatrixA,
     QuotientRing,
-    apply_to_matrix,
     bracket,
     build_ellipsoid_cotangent,
     build_sphere_line_bundle,
@@ -102,7 +101,7 @@ def test_ellipsoid_differential_goldens():
         phi = ex.presentation.phi
         for i, d in enumerate(ex.derivations, 1):
             expected = reference_expected("ellipsoid", f"d{i}M", p, q, r)
-            assert apply_to_matrix(d, phi) == expected
+            assert d.apply_to_matrix(phi) == expected
 
 
 def test_ellipsoid_formone_scalars():
@@ -170,13 +169,19 @@ def test_sphere_involution_printed_entry_differs():
     )
 
 
+def test_sphere_involution_matches_corrected_display():
+    for p, q, r in product(range(1, 4), repeat=3):
+        expected = reference_expected("sphere", "P-corrected", p, q, r)
+        assert build_sphere_line_bundle(p, q, r).involution == expected, (p, q, r)
+
+
 def test_sphere_differential_goldens():
     ex = build_sphere_line_bundle(1, 1, 1)
     m = ex.idempotent
     d1, d2, d3 = ex.derivations
-    assert apply_to_matrix(d1, m) == reference_expected("sphere", "d1M", 1, 1, 1)
-    assert apply_to_matrix(d2, m) == reference_expected("sphere", "d2M", 1, 1, 1)
-    computed = apply_to_matrix(d3, m)
+    assert d1.apply_to_matrix(m) == reference_expected("sphere", "d1M", 1, 1, 1)
+    assert d2.apply_to_matrix(m) == reference_expected("sphere", "d2M", 1, 1, 1)
+    computed = d3.apply_to_matrix(m)
     printed = reference_expected("sphere", "d3M-printed", 1, 1, 1)
     corrected = reference_expected("sphere", "d3M-corrected", 1, 1, 1)
     assert computed == corrected
@@ -188,9 +193,9 @@ def test_sphere_curvature_goldens():
     ex = build_sphere_line_bundle(1, 1, 1)
     m = ex.idempotent
     d1, d2, d3 = ex.derivations
-    d1m = apply_to_matrix(d1, m)
-    d2m = apply_to_matrix(d2, m)
-    d3m = apply_to_matrix(d3, m)
+    d1m = d1.apply_to_matrix(m)
+    d2m = d2.apply_to_matrix(m)
+    d3m = d3.apply_to_matrix(m)
     assert commutator(d1m, d2m) == reference_expected("sphere", "R12", 1, 1, 1)
     # the pair-13 display carries the d3M sign through: computed = -printed
     c13 = commutator(d1m, d3m)
@@ -211,7 +216,7 @@ def test_sphere_curvature_same_for_both_idempotents():
     d1, d2, _ = ex.derivations
     via_line_bundle = curvature_matrix(ex.presentation, d1, d2)
     m = ex.idempotent
-    assert via_line_bundle == commutator(apply_to_matrix(d1, m), apply_to_matrix(d2, m))
+    assert via_line_bundle == commutator(d1.apply_to_matrix(m), d2.apply_to_matrix(m))
 
 
 def test_sphere_trace_goldens():
@@ -225,7 +230,7 @@ def test_sphere_trace_goldens():
         "23": (d2, d3),
     }
     for tag, (da, db) in pairs.items():
-        c = commutator(apply_to_matrix(da, m), apply_to_matrix(db, m))
+        c = commutator(da.apply_to_matrix(m), db.apply_to_matrix(m))
         computed = trace_over_image(pres_m, c)
         golden = reference_expected("sphere", f"trace-{tag}-image", 1, 1, 1)
         printed = reference_expected("sphere", f"trace-{tag}-printed", 1, 1, 1)

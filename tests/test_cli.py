@@ -8,8 +8,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from hyperconn import cli
 from hyperconn.cli import (
     ELLIPSOID_CHECKS,
+    MAX_SWEEP,
     SPHERE_CHECKS,
     CheckResult,
     UsageError,
@@ -206,8 +208,10 @@ def test_report_list_checks_covers_report_names():
 
 @pytest.mark.parametrize("example, triple", [("ellipsoid", (2, 3, 4)), ("sphere", (1, 1, 1))])
 def test_verification_shares_curvature_work(monkeypatch, example, triple):
-    # rows and the curvature block share one curvature report per pair, so
-    # a verify makes no more matrix products than those reports need
+    # rows and the curvature block share one curvature report per pair, and
+    # the nonflat row reads Phi*C*Phi off its report, so a verify makes no
+    # more matrix products than those reports need
+    limit = {"ellipsoid": 26, "sphere": 28}[example]
     calls = []
     original = MatrixA.__mul__
 
@@ -217,7 +221,7 @@ def test_verification_shares_curvature_work(monkeypatch, example, triple):
 
     monkeypatch.setattr(MatrixA, "__mul__", counting_mul)
     run_verification(example, *triple)
-    assert len(calls) <= 28
+    assert len(calls) <= limit
 
 
 def test_report_requires_flag():
@@ -260,6 +264,57 @@ def test_sweep_bound_usage_error():
     args.max = 1  # bypass the parser to hit the bound check
     with pytest.raises(UsageError):
         cmd_sweep(args)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _stop(*args):
+    raise _Stop
+
+
+def test_sweep_max_above_limit_exit_2(monkeypatch, capsys):
+    # rejected before any triple is generated or verified
+    monkeypatch.setattr(cli, "run_verification", _stop)
+    assert main(["sweep", "ellipsoid", "--max", str(MAX_SWEEP + 1)]) == 2
+    assert capsys.readouterr().err == f"error: --max must be <= {MAX_SWEEP}\n"
+    args = build_parser().parse_args(["sweep", "ellipsoid", "--max", str(MAX_SWEEP)])
+    with pytest.raises(_Stop):  # the limit itself passes validation
+        cmd_sweep(args)
+
+
+def test_sweep_parallel_clamped_to_triples_and_cpus(monkeypatch, capsys):
+    pools = []
+
+    class SerialPool:
+        """Records max_workers and maps in this process; starts no worker."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(
+        cli, "run_verification", lambda ex, p, q, r: VerificationReport(ex, p, q, r, (), (), ())
+    )
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert main(["sweep", "sphere", "--max", "2", "--parallel", "1000000"]) == 0
+    assert main(["sweep", "sphere", "--max", "2", "--parallel", "3"]) == 0
+    assert pools == [4, 3]  # 8 triples, 4 CPUs
+    assert main(["sweep", "sphere", "--max", "1", "--parallel", "1000000"]) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert main(["sweep", "sphere", "--max", "2", "--parallel", "1000000"]) == 0
+    assert pools == [4, 3]  # one triple, or an unknown CPU count, runs serially
+    capsys.readouterr()
 
 
 def test_failed_report_maps_to_exit_one():

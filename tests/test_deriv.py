@@ -10,7 +10,6 @@ from hyperconn import (
     Derivation,
     QuotientRing,
     TangencyError,
-    apply_to_matrix,
     bracket,
     parse,
 )
@@ -105,7 +104,7 @@ def test_apply_to_matrix_entrywise():
     for _ in range(20):
         delta = random_tangent(rng, SPHERE, GENS, max_degree=1, max_terms=1)
         m = random_matrix(rng, SPHERE, 2)
-        result = apply_to_matrix(delta, m)
+        result = delta.apply_to_matrix(m)
         for i in range(2):
             for j in range(2):
                 assert result.entry(i, j) == delta.apply(m.entry(i, j))
@@ -117,8 +116,8 @@ def test_matrix_leibniz():
         delta = random_tangent(rng, SPHERE, GENS, max_degree=1, max_terms=1)
         m = random_matrix(rng, SPHERE, 2)
         n = random_matrix(rng, SPHERE, 2)
-        left = apply_to_matrix(delta, m * n)
-        right = apply_to_matrix(delta, m) * n + m * apply_to_matrix(delta, n)
+        left = delta.apply_to_matrix(m * n)
+        right = delta.apply_to_matrix(m) * n + m * delta.apply_to_matrix(n)
         assert left == right
 
 

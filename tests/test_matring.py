@@ -10,12 +10,8 @@ from hyperconn import (
     CharPoly,
     MatrixA,
     QuotientRing,
-    char_poly,
     commutator,
-    determinant,
     parse,
-    rank_at_point,
-    trace,
 )
 from helpers import random_element, random_matrix
 
@@ -69,9 +65,9 @@ def test_trace_linear_and_cyclic():
     for _ in range(40):
         a = random_matrix(rng, SPHERE, 3)
         b = random_matrix(rng, SPHERE, 3)
-        assert trace(a + b) == trace(a) + trace(b)
-        assert trace(a * b) == trace(b * a)
-        assert trace(commutator(a, b)).is_zero
+        assert (a + b).trace() == a.trace() + b.trace()
+        assert (a * b).trace() == (b * a).trace()
+        assert commutator(a, b).trace().is_zero
 
 
 def test_commutator_requires_square_same_shape():
@@ -85,16 +81,16 @@ def test_determinant_multiplicative():
     for _ in range(15):
         a = random_matrix(rng, SPHERE, 2)
         b = random_matrix(rng, SPHERE, 2)
-        assert determinant(a * b) == determinant(a) * determinant(b)
+        assert (a * b).determinant() == a.determinant() * b.determinant()
     for _ in range(6):
         a = random_matrix(rng, SPHERE, 3, max_degree=1, max_terms=1)
         b = random_matrix(rng, SPHERE, 3, max_degree=1, max_terms=1)
-        assert determinant(a * b) == determinant(a) * determinant(b)
+        assert (a * b).determinant() == a.determinant() * b.determinant()
 
 
 def test_char_poly_shape_and_known_values():
     ident = MatrixA.identity(SPHERE, 2)
-    cp = char_poly(ident)
+    cp = ident.char_poly()
     # (t-1)^2 = t^2 - 2t + 1
     assert cp.degree == 2
     assert cp.coefficient(2) == SPHERE.one()
@@ -102,7 +98,7 @@ def test_char_poly_shape_and_known_values():
     assert cp.coefficient(0) == SPHERE.one()
     assert str(cp) == "t^2 + (-2)*t + 1"
     m = MatrixA.from_rows(SPHERE, [["x", "y"], ["0", "z"]])
-    cp2 = char_poly(m)
+    cp2 = m.char_poly()
     assert cp2.coefficient(1) == -(SPHERE.element("x") + SPHERE.element("z"))
     assert cp2.coefficient(0) == SPHERE.element("x*z")
 
@@ -111,10 +107,10 @@ def test_char_poly_trace_and_det_coefficients():
     rng = Random(140580)
     for _ in range(20):
         a = random_matrix(rng, SPHERE, 3, max_degree=1, max_terms=2)
-        cp = char_poly(a)
+        cp = a.char_poly()
         assert cp.degree == 3
-        assert cp.coefficient(2) == -trace(a)
-        assert cp.coefficient(0) == -determinant(a)
+        assert cp.coefficient(2) == -a.trace()
+        assert cp.coefficient(0) == -a.determinant()
 
 
 def test_cayley_hamilton_spot():
@@ -125,12 +121,12 @@ def test_cayley_hamilton_spot():
 
 
 def cp_evaluates_to_zero(a) -> bool:
-    return char_poly(a).evaluate_matrix(a).is_zero
+    return a.char_poly().evaluate_matrix(a).is_zero
 
 
 def test_char_poly_multiplication():
-    a = char_poly(MatrixA.identity(SPHERE, 2))
-    b = char_poly(MatrixA.from_rows(SPHERE, [["x"]]))
+    a = MatrixA.identity(SPHERE, 2).char_poly()
+    b = MatrixA.from_rows(SPHERE, [["x"]]).char_poly()
     product = a * b
     assert product.degree == 3
     assert isinstance(product, CharPoly)
@@ -140,14 +136,14 @@ def test_char_poly_multiplication():
 def test_rank_at_point():
     m = MatrixA.from_rows(SPHERE, [["x", "y"], ["y", "x"]])
     # at (1,0,0): [[1,0],[0,1]] has rank 2
-    assert rank_at_point(m, (1, 0, 0)) == 2
+    assert m.rank_at_point((1, 0, 0)) == 2
     # at (0,1,0): [[0,1],[1,0]] has rank 2
-    assert rank_at_point(m, (0, 1, 0)) == 2
+    assert m.rank_at_point((0, 1, 0)) == 2
     degenerate = MatrixA.from_rows(SPHERE, [["x", "x"], ["x", "x"]])
-    assert rank_at_point(degenerate, (1, 0, 0)) == 1
-    assert rank_at_point(MatrixA.zero(SPHERE, 2, 2), (0, 0, 1)) == 0
+    assert degenerate.rank_at_point((1, 0, 0)) == 1
+    assert MatrixA.zero(SPHERE, 2, 2).rank_at_point((0, 0, 1)) == 0
     with pytest.raises(ValueError):
-        rank_at_point(m, (1, 1, 1))
+        m.rank_at_point((1, 1, 1))
 
 
 def test_to_json_nested_strings():

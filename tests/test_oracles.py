@@ -15,8 +15,6 @@ from hyperconn import (
     QuotientRing,
     build_ellipsoid_cotangent,
     build_sphere_line_bundle,
-    char_poly,
-    determinant,
     divide_remainder,
     make_presentation,
     parse,
@@ -44,7 +42,7 @@ def to_sympy(poly):
     total = sp.Integer(0)
     for mono, coeff in poly.terms.items():
         term = to_sympy_coeff(coeff)
-        for sym, e in zip(SYMS, mono.exponents):
+        for sym, e in zip(SYMS, mono):
             term *= sym**e
         total += term
     return sp.expand(total)
@@ -105,7 +103,7 @@ def test_determinant_matches_sympy_mod_f():
     rng = Random(430012)
     for _ in range(12):
         m = random_matrix(rng, ring, 3, max_degree=1, max_terms=2)
-        ours = determinant(m)
+        ours = m.determinant()
         theirs = sp.Matrix(
             [[to_sympy(m.entry(i, j).rep) for j in range(3)] for i in range(3)]
         ).det()
@@ -119,7 +117,7 @@ def test_char_poly_matches_sympy_mod_f():
     t = sp.Symbol("t")
     for _ in range(8):
         m = random_matrix(rng, ring, 3, max_degree=1, max_terms=1)
-        ours = char_poly(m)
+        ours = m.char_poly()
         sym = sp.Matrix([[to_sympy(m.entry(i, j).rep) for j in range(3)] for i in range(3)])
         theirs = sym.charpoly(t).as_expr()
         for k in range(4):
@@ -177,6 +175,17 @@ def test_ellipsoid_differentials_rederived_with_sympy():
                 assert divisible(to_sympy(computed.entry(i, j).rep) - derived[i, j], f)
 
 
+def test_sphere_corrected_involution_squares_to_identity_in_sympy():
+    for p, q, r in [(1, 1, 1), (2, 1, 1), (1, 2, 3), (3, 2, 1), (2, 3, 2)]:
+        f = X ** (2 * p) + Y ** (2 * q) + Z ** (2 * r) - 1
+        golden = reference_expected("sphere", "P-corrected", p, q, r)
+        pm = sp.Matrix(2, 2, lambda i, j: to_sympy(golden.entry(i, j).rep))
+        defect = pm * pm - sp.eye(2)
+        for i in range(2):
+            for j in range(2):
+                assert divisible(defect[i, j], f), (p, q, r, i, j)
+
+
 def test_sphere_traces_rederived_with_sympy():
     f = X**2 + Y**2 + Z**2 - 1
     msym = sp.Rational(1, 2) * sp.Matrix([[1 + X, Y + sp.I * Z], [Y - sp.I * Z, 1 - X]])
@@ -200,9 +209,9 @@ def test_sphere_traces_rederived_with_sympy():
 
     ex = build_sphere_line_bundle(1, 1, 1)
     pres_m = make_presentation(ex.ring, ex.idempotent)
-    from hyperconn import apply_to_matrix, commutator
+    from hyperconn import commutator
 
-    dm = [apply_to_matrix(d, ex.idempotent) for d in ex.derivations]
+    dm = [d.apply_to_matrix(ex.idempotent) for d in ex.derivations]
     for tag, (a, b) in {"12": (0, 1), "13": (0, 2), "23": (1, 2)}.items():
         ours = trace_over_image(pres_m, commutator(dm[a], dm[b]))
         golden = reference_expected("sphere", f"trace-{tag}-image", 1, 1, 1)

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from hyperconn import GaussianRational, Polynomial, QuotientRing, nf, parse
+from hyperconn import GaussianRational, Polynomial, QuotientRing, parse
 from helpers import NAMES, random_element, random_polynomial
 
 SPHERE = QuotientRing(parse("x^2+y^2+z^2-1"))
@@ -70,7 +70,7 @@ def test_element_pow():
 
 
 def test_nf_module_function():
-    value = nf(parse("x^4"), SPHERE)
+    value = SPHERE.nf(parse("x^4"))
     assert value == SPHERE.element("x^4")
     assert str(value) == str(SPHERE.element(parse("x^4")))
 
