@@ -9,10 +9,9 @@ Output is always plain text, so NO_COLOR needs no special handling.
 
 Each example's checks are one ordered table of (name, check) rows; the
 sphere's golden rows run only at (1, 1, 1), and report --list-checks reads
-its names from these tables. A verify computes each D_i(Phi) and each
-pair's curvature report once; the rows and the curvature block read the
-same reports, so --timings charges that memoised work to the first row
-that touches it.
+its names from these tables. A verify computes each pair's curvature
+report once; the rows and the curvature block share it, so --timings
+charges that memoised work to the first row that touches it.
 
 Exit codes: 0 when no check fails (discrepancies allowed), 1 when any
 check fails, 2 for usage or parse errors, 3 for an internal error (any
@@ -29,6 +28,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 
 from . import catalog
 from .conn import connection_apply, curvature_report, deviation_report
@@ -41,6 +41,13 @@ _BASE_POINT = (1, 0, 0)
 _PAIRS = ((0, 1, "12"), (0, 2, "13"), (1, 2, "23"))
 # Largest sweep --max: at most 20^3 = 8,000 triples, at about 0.06 s each.
 MAX_SWEEP = 20
+# Largest normal-form work eval starts. The quotient of p by f has degree
+# at most d = deg p - deg f in the v variables that occur in p or f, so at
+# most C(d+v, v) terms, and each touches every term of f: C(d+v, v)*|f|
+# bounds the work before it runs. Measured on a 2-core x86-64 host,
+# reductions near the limit take 0.5 to 1.5 s. x^72 mod x^2+y^2+z^2-1 is
+# accepted and x^73 is refused; x^1000 mod x^2-1 (v = 1) is accepted.
+MAX_EVAL_WORK = 250_000
 
 
 class UsageError(ValueError):
@@ -125,8 +132,8 @@ def _deviation_status(presentation, expected_rank: int):
 class _Context:
     """One example at one triple, with the work its rows share memoised.
 
-    Each D_i(Phi) and each pair's curvature report is computed once, by
-    whichever row or the curvature block asks for it first.
+    Each pair's curvature report is computed once, by whichever row or the
+    curvature block asks for it first.
     """
 
     def __init__(self, example: str, p: int, q: int, r: int):
@@ -135,16 +142,10 @@ class _Context:
         self.params = (p, q, r)
         self.ex = self.family.build(p, q, r)
         self.pres = self.ex.presentation
-        self._dphi: dict = {}
         self._curvature: dict = {}
 
     def expected(self, check_id: str):
         return catalog.reference_expected(self.example, check_id, *self.params)
-
-    def dphi(self, i: int):
-        if i not in self._dphi:
-            self._dphi[i] = self.ex.derivations[i].apply_to_matrix(self.pres.phi)
-        return self._dphi[i]
 
     def curvature(self, i: int, j: int):
         if (i, j) not in self._curvature:
@@ -211,7 +212,9 @@ _ELLIPSOID_ROWS = (
     *_per_index("tangency-d{}", _tangency),
     *_per_index(
         "d{}M-golden",
-        lambda ctx, i: _match_status(ctx.dphi(i), ctx.expected(f"d{i + 1}M")),
+        lambda ctx, i: _match_status(
+            ctx.ex.derivations[i].apply_to_matrix(ctx.pres.phi), ctx.expected(f"d{i + 1}M")
+        ),
     ),
     *_per_index("formone-{}", _formone),
     ("nested-12", lambda ctx: _nested(ctx, 0, 1)),
@@ -232,7 +235,7 @@ _ELLIPSOID_ROWS = (
 
 def _sphere_dm(ctx: _Context, i: int):
     # the presentation is Phi = I - M, so D(M) = -D(Phi)
-    return -ctx.dphi(i)
+    return -ctx.ex.derivations[i].apply_to_matrix(ctx.pres.phi)
 
 
 def _d3m_sign(ctx: _Context):
@@ -483,6 +486,14 @@ def cmd_eval(args) -> int:
         ring = QuotientRing(modulus)
     except ValueError as err:
         raise UsageError(str(err)) from err
+    d = expression.degree() - modulus.degree()
+    monomials = [*expression.terms, *modulus.terms]
+    v = sum(1 for k in range(modulus.arity) if any(m[k] for m in monomials))
+    if d >= 0 and comb(d + v, v) * len(modulus.terms) > MAX_EVAL_WORK:
+        raise UsageError(
+            f"reducing a degree {expression.degree()} expression modulo a degree "
+            f"{modulus.degree()} modulus may take more than {MAX_EVAL_WORK} term updates"
+        )
     sys.stdout.write(str(ring.element(expression)) + "\n")
     return 0
 

@@ -21,18 +21,15 @@ class PresentationError(ValueError):
     """The proposed data does not present a projective module."""
 
 
+@dataclass(frozen=True)
 class ProjectivePresentation:
     """An idempotent presentation: the module is the image of Phi."""
 
-    __slots__ = ("ring", "n", "phi", "psi", "kernel_generator", "convention")
-
-    def __init__(self, ring, n, phi, psi, kernel_generator, convention):
-        self.ring = ring
-        self.n = n
-        self.phi = phi
-        self.psi = psi
-        self.kernel_generator = kernel_generator
-        self.convention = convention
+    ring: QuotientRing
+    n: int
+    phi: MatrixA
+    psi: MatrixA  # I - Phi, the complement
+    kernel_generator: tuple | None
 
     def __repr__(self) -> str:
         return f"ProjectivePresentation(n={self.n} over {self.ring!r})"
@@ -68,33 +65,30 @@ def make_presentation(
         if any(not v.is_zero for v in image):
             witness = "(" + ", ".join(str(v) for v in image) + ")"
             raise PresentationError(f"kernel generator not annihilated: Phi*k = {witness}")
-    return ProjectivePresentation(ring, n, phi, psi, generator, "module-is-image-of-phi")
+    return ProjectivePresentation(ring, n, phi, psi, generator)
 
 
-def _coerce_vector(p: ProjectivePresentation, vector) -> tuple[RingElement, ...]:
-    vec = tuple(p.ring.element(v) for v in vector)
-    if len(vec) != p.n:
-        raise ValueError(f"vector length {len(vec)} does not match rank {p.n}")
-    return vec
-
-
-def _connection_operator(p: ProjectivePresentation, delta: Derivation):
-    """The first-order operator v -> D_delta(v) + delta(Phi)*v."""
-    if delta.ring != p.ring:
-        raise ValueError("derivation belongs to a different ring")
-    d_phi = delta.apply_to_matrix(p.phi)
+def _operator(delta: Derivation, matrix: MatrixA):
+    """The first-order operator v -> delta(v) + M*v."""
 
     def operator(vec):
-        component = delta.apply_to_vector(vec)
-        linear = d_phi.mul_vector(vec)
-        return tuple(a + b for a, b in zip(component, linear))
+        return tuple(a + b for a, b in zip(delta.apply_to_vector(vec), matrix.mul_vector(vec)))
 
     return operator
 
 
+def _connection_operator(p: ProjectivePresentation, delta: Derivation):
+    """The connection operator A_delta: v -> D_delta(v) + delta(Phi)*v."""
+    if delta.ring != p.ring:
+        raise ValueError("derivation belongs to a different ring")
+    return _operator(delta, delta.apply_to_matrix(p.phi))
+
+
 def connection_apply(p: ProjectivePresentation, delta: Derivation, vector):
     """Apply the connection operator for delta to a coordinate vector."""
-    vec = _coerce_vector(p, vector)
+    vec = tuple(p.ring.element(v) for v in vector)
+    if len(vec) != p.n:
+        raise ValueError(f"vector length {len(vec)} does not match rank {p.n}")
     return _connection_operator(p, delta)(vec)
 
 
@@ -182,20 +176,13 @@ def operator_commutator_matrix(
 ) -> MatrixA:
     """Matrix of [A_delta, X] on the standard basis, X a matrix potential.
 
-    Column j is A_delta(X e_j) - X A_delta(e_j); since X acts A-linearly
-    this operator commutator is again A-linear.
+    Since delta(X v) = delta(X) v + X delta(v), the operator commutator
+    A_delta(X v) - X A_delta(v) is the A-linear map delta(X) + [delta(Phi), X].
     """
     _require_endomorphism(p, potential)
-    op = _connection_operator(p, delta)
-    ring = p.ring
-    zero, one = ring.zero(), ring.one()
-    columns = []
-    for j in range(p.n):
-        basis = tuple(one if i == j else zero for i in range(p.n))
-        left = op(potential.column(j))
-        right = potential.mul_vector(op(basis))
-        columns.append([a - b for a, b in zip(left, right)])
-    return MatrixA.from_columns(ring, columns)
+    if delta.ring != p.ring:
+        raise ValueError("derivation belongs to a different ring")
+    return delta.apply_to_matrix(potential) + commutator(delta.apply_to_matrix(p.phi), potential)
 
 
 def _preserves_module(p: ProjectivePresentation, x: MatrixA) -> bool:
@@ -232,32 +219,18 @@ def modified_curvature(
     if bracket(delta, eta) != bracket_delta_eta:
         raise ValueError("bracket mismatch: the supplied derivation is not [delta, eta]")
 
-    ring = p.ring
-    op_delta = _connection_operator(p, delta)
-    op_eta = _connection_operator(p, eta)
-    op_bracket = _connection_operator(p, bracket_delta_eta)
-
-    def shifted(op, potential):
-        def shifted_op(vec):
-            base = op(vec)
-            extra = potential.mul_vector(vec)
-            return tuple(a + b for a, b in zip(base, extra))
-
-        return shifted_op
-
-    sop_delta = shifted(op_delta, phi_delta)
-    sop_eta = shifted(op_eta, phi_eta)
-    sop_bracket = shifted(op_bracket, phi_bracket)
-
-    zero, one = ring.zero(), ring.one()
+    # the shifted operators A_d + phi_d = D_d + (d(Phi) + phi_d)
+    sop_delta, sop_eta, sop_bracket = (
+        _operator(d, d.apply_to_matrix(p.phi) + x)
+        for d, x in ((delta, phi_delta), (eta, phi_eta), (bracket_delta_eta, phi_bracket))
+    )
+    basis = MatrixA.identity(p.ring, p.n)
     columns = []
     for j in range(p.n):
-        basis = tuple(one if i == j else zero for i in range(p.n))
-        col = sop_delta(sop_eta(basis))
-        col = tuple(a - b for a, b in zip(col, sop_eta(sop_delta(basis))))
-        col = tuple(a - b for a, b in zip(col, sop_bracket(basis)))
-        columns.append(list(col))
-    direct = MatrixA.from_columns(ring, columns)
+        e = basis.column(j)
+        triples = zip(sop_delta(sop_eta(e)), sop_eta(sop_delta(e)), sop_bracket(e))
+        columns.append([a - b - c for a, b, c in triples])
+    direct = MatrixA.from_columns(p.ring, columns)
 
     assembled = (
         curvature_matrix(p, delta, eta)

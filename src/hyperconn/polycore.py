@@ -128,24 +128,11 @@ class GaussianRational:
         return result
 
     def __str__(self) -> str:
-        if not self:
-            return "0"
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return _imag_text(self.im)
-        return f"({self.re}{_signed_imag_text(self.im)})"
+        negative, body = _term_text(self, "")
+        return "-" + body if negative else body
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re}, {self.im})"
-
-
-def _imag_text(im: Fraction) -> str:
-    if im == 1:
-        return "i"
-    if im == -1:
-        return "-i"
-    return f"{im}*i"
 
 
 def _signed_imag_text(im: Fraction) -> str:
@@ -507,9 +494,17 @@ _DIGITS = frozenset("0123456789")
 # default recursion limit of 1000. A power of a t-term base to the e has at
 # most C(e+t-1, t-1) terms, and that bound is checked before the power runs:
 # (x+y+z)^42 (946 terms) passes, (x+y+z)^44 (1035 terms) does not.
+# MAX_PARSE_PAIRS caps the term products of one parse, counted before each
+# runs: |L|*|R| per product (|L| per division by a constant) and at most
+# t*C(e+t-1, t) per power, the pairs of multiplying by the base e times.
+# A pair costs about 10 us with small integer coefficients and 30 us with
+# dense Gaussian rationals (2-core x86-64 host), so a parse stays within a
+# few seconds; (x+y+z)^42 spends 39,732 pairs, and
+# (x+y+z)^40*(x+y+z)^40, 810,201, is refused.
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 1000
+MAX_PARSE_PAIRS = 100_000
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -556,12 +551,14 @@ class _Parser:
     #                                         result bound at most MAX_POWER_TERMS
     #   atom  := INT | 'i' | NAME | '(' expr ')'
     # Open parentheses and unary minus signs count towards one nesting
-    # depth, at most MAX_NESTING at any point.
+    # depth, at most MAX_NESTING at any point; products, divisions and
+    # powers draw on one budget of MAX_PARSE_PAIRS term pairs.
 
     def __init__(self, tokens, names):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.pairs = 0
         self.names = names
         self.index = {name: k for k, name in enumerate(names)}
 
@@ -577,6 +574,11 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", pos)
+
+    def spend(self, pairs, pos):
+        self.pairs += pairs
+        if self.pairs > MAX_PARSE_PAIRS:
+            raise ParseError(f"expression needs more than {MAX_PARSE_PAIRS} term products", pos)
 
     def expr(self) -> Polynomial:
         left = self.term()
@@ -596,6 +598,7 @@ class _Parser:
             if kind == "op" and value in "*/":
                 self.take()
                 right = self.unary()
+                self.spend(len(left.terms) * (len(right.terms) if value == "*" else 1), pos)
                 if value == "*":
                     left = left * right
                 else:
@@ -629,8 +632,10 @@ class _Parser:
                 raise ParseError("exponent must be a non-negative integer literal", pos)
             if value > MAX_EXPONENT:
                 raise ParseError(f"exponent {value} exceeds the limit of {MAX_EXPONENT}", pos)
-            if comb(value + max(len(base.terms), 1) - 1, value) > MAX_POWER_TERMS:
+            t = len(base.terms)
+            if comb(value + max(t, 1) - 1, value) > MAX_POWER_TERMS:
                 raise ParseError(f"power may have more than {MAX_POWER_TERMS} terms", pos)
+            self.spend(t * comb(value + t - 1, t) if t else 0, pos)
             return base**value
         return base
 
@@ -667,9 +672,9 @@ def parse(text: str, names=("x", "y", "z")) -> Polynomial:
 
     Raises ParseError on malformed text, on an exponent literal above
     MAX_EXPONENT (1000), on a power whose result may have more than
-    MAX_POWER_TERMS (1000) terms, and on parentheses and unary minus signs
-    nested more than MAX_NESTING (100) deep; the CLI reports these with
-    exit 2.
+    MAX_POWER_TERMS (1000) terms, on more than MAX_PARSE_PAIRS (100,000)
+    term products in all, and on parentheses and unary minus signs nested
+    more than MAX_NESTING (100) deep; the CLI reports these with exit 2.
     """
     names = _check_names(names)
     parser = _Parser(_tokenize(text), names)

@@ -29,10 +29,6 @@ class QuotientRing:
         self.modulus = modulus
         self._hash = hash((self.names, self.modulus))
 
-    @classmethod
-    def from_text(cls, text: str, names=("x", "y", "z")) -> "QuotientRing":
-        return cls(parse(text, names))
-
     @property
     def arity(self) -> int:
         return len(self.names)

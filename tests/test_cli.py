@@ -11,6 +11,7 @@ import pytest
 from hyperconn import cli
 from hyperconn.cli import (
     ELLIPSOID_CHECKS,
+    MAX_EVAL_WORK,
     MAX_SWEEP,
     SPHERE_CHECKS,
     CheckResult,
@@ -166,6 +167,19 @@ def test_eval_power_term_bound_exit_2():
     assert result.returncode == 2
     assert f"more than {MAX_POWER_TERMS} terms" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_eval_normal_form_work_bound_exit_2(capsys):
+    # x^1000 passes every parse limit, but its reduction would run for over half an hour
+    result = run_cli("eval", "x^1000", "mod", "x^2+y^2+z^2-1", timeout=30)
+    assert result.returncode == 2
+    assert f"more than {MAX_EVAL_WORK} term updates" in result.stderr
+    assert "Traceback" not in result.stderr
+    # d = 71: C(74, 3)*4 = 259,296 term updates at most
+    assert main(["eval", "x^73", "mod", "x^2+y^2+z^2-1"]) == 2
+    # a modulus of 947 terms makes even a small degree gap too much work
+    assert main(["eval", "x^100", "mod", "(x+y+z)^42-1"]) == 2
+    assert "term updates" in capsys.readouterr().err
 
 
 def test_eval_operands_led_by_minus(capsys):

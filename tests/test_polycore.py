@@ -94,6 +94,8 @@ def test_gaussian_basic_values():
     assert str(GaussianRational(0, 3)) == "3*i"
     assert str(GaussianRational(Fraction(1, 2), Fraction(3, 4))) == "(1/2+3/4*i)"
     assert str(GaussianRational(1, -1)) == "(1-i)"
+    assert str(GaussianRational(0, Fraction(-1, 2))) == "-1/2*i"
+    assert str(GaussianRational(Fraction(-1, 2), 1)) == "(-1/2+i)"
 
 
 def test_gaussian_equality_and_coercion():
@@ -264,11 +266,12 @@ def test_divide_by_zero_raises():
         divide_remainder(parse("x"), Polynomial(NAMES))
 
 
-def test_parse_round_trip():
-    rng = Random(64123)
-    for _ in range(60):
-        p = random_polynomial(rng)
-        assert parse(str(p)) == p
+@PROPERTY
+@given(polynomials)
+@example(Polynomial(NAMES, {(1, 0, 0): GaussianRational(0, Fraction(-1, 2)),
+                            (0, 2, 1): GaussianRational(Fraction(-1, 2), 1)}))
+def test_parse_round_trip(p):
+    assert parse(str(p)) == p
 
 
 def test_parse_grammar():
@@ -335,6 +338,22 @@ def test_parse_power_term_bound():
         parse("((x+y+z)^2)^20")
     assert parse("0^1000").is_zero
     assert parse("(2*x)^1000") == Polynomial(NAMES, {(1000, 0, 0): 2**1000})
+
+
+def test_parse_pair_budget():
+    # (x+y+z)^40 spends 3*C(42, 3) = 34,440 pairs and has 861 terms, so a
+    # product of two would add 861^2 = 741,321 more
+    with pytest.raises(ParseError, match="term products") as err:
+        parse("(x+y+z)^40*(x+y+z)^40")
+    assert err.value.position == 10
+    # powers share the budget: two (x+y+z)^42 (39,732 pairs each) fit, the
+    # third is refused at its exponent
+    with pytest.raises(ParseError, match="term products") as err:
+        parse("+".join(["(x+y+z)^42"] * 3))
+    assert err.value.position == 30
+    # and so do divisions by a constant, |L| pairs each
+    with pytest.raises(ParseError, match="term products"):
+        parse("(x+y+z)^20" + "/2" * 500)
 
 
 @pytest.mark.parametrize(

@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperconn import GaussianRational, Polynomial, QuotientRing, parse
 from helpers import NAMES, random_element, random_polynomial
 
 SPHERE = QuotientRing(parse("x^2+y^2+z^2-1"))
+CUBIC = QuotientRing(parse("x^2*y+y^2*z+x*z^2-1"))
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+small_polynomials = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * len(NAMES)),
+    st.builds(GaussianRational, fractions, fractions),
+    max_size=4,
+).map(lambda terms: Polynomial(NAMES, terms))
 
 
 def test_ring_rejects_degenerate_modulus():
@@ -60,6 +71,17 @@ def test_element_arithmetic_respects_reduction():
         assert (a * b).rep == SPHERE.nf((a.rep * b.rep)).rep
         assert (a * SPHERE.one()) == a
         assert (a * 2 - a - a).is_zero
+
+
+@pytest.mark.parametrize("ring", [SPHERE, CUBIC], ids=["sphere", "cubic"])
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(a=small_polynomials, b=small_polynomials, c=small_polynomials)
+def test_element_ring_laws(ring, a, b, c):
+    a, b, c = ring.element(a), ring.element(b), ring.element(c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
 
 
 def test_element_pow():
