@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from math import comb
@@ -44,9 +43,10 @@ MAX_SWEEP = 20
 # Largest normal-form work eval starts. The quotient of p by f has degree
 # at most d = deg p - deg f in the v variables that occur in p or f, so at
 # most C(d+v, v) terms, and each touches every term of f: C(d+v, v)*|f|
-# bounds the work before it runs. Measured on a 2-core x86-64 host,
-# reductions near the limit take 0.5 to 1.5 s. x^72 mod x^2+y^2+z^2-1 is
-# accepted and x^73 is refused; x^1000 mod x^2-1 (v = 1) is accepted.
+# bounds the work before it runs. Measured on a 2-core x86-64 host with
+# Python 3.11, eval runs near the limit take 0.25 to 0.65 s, start-up
+# included (x^72 mod x^2+y^2+z^2-1, x^58 mod (x+y+z)^2-1). x^72 is accepted
+# and x^73 is refused; x^1000 mod x^2-1 (v = 1) is accepted.
 MAX_EVAL_WORK = 250_000
 
 
@@ -438,6 +438,9 @@ def cmd_sweep(args) -> int:
     # the pool starts every worker up front, so never more than can run at once
     workers = min(args.parallel, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool machinery is a sizeable share of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_sweep_worker, tasks))
     else:

@@ -1,9 +1,12 @@
 """Exact sparse multivariate polynomial arithmetic over the Gaussian rationals.
 
-Coefficients are elements of Q(i) held as pairs of reduced Fractions.
-Polynomials are sparse maps from monomials, which are plain exponent
-tuples, to nonzero coefficients, so equality is equality of term maps. A
-graded reverse lexicographic order fixes leading terms and makes division
+Coefficients are elements (a + b*i)/d of Q(i) held as three integers in
+lowest terms; Fractions appear only where values enter or leave (the
+constructor and the re/im parts). A polynomial product lifts both operands
+to integer numerators over a common denominator and normalises each output
+coefficient once. Polynomials are sparse maps from monomials, which are
+plain exponent tuples, to nonzero coefficients, so equality is equality of
+term maps. A graded reverse lexicographic order fixes leading terms and makes division
 remainders canonical. A small recursive-descent parser round-trips the
 canonical text form.
 """
@@ -12,17 +15,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from math import comb, gcd, lcm
+from operator import add, ge, sub
 
 
-def _frac(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _fields(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -35,70 +37,93 @@ class ParseError(ValueError):
 
 
 class GaussianRational:
-    """An element re + im*i of Q(i). Instances are treated as immutable."""
+    """An element (a + b*i)/d of Q(i) with integers a, b, d, where d > 0 and
+    gcd(a, b, d) = 1, so equal values have equal fields. Instances are
+    treated as immutable."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+    def __new__(cls, re=0, im=0):
+        a, da = _fields(re)
+        b, db = _fields(im)
+        d = lcm(da, db)
+        # both parts are reduced fractions, so gcd(a, b, d) = 1 already
+        return _exact(a * (d // da), b * (d // db), d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a) or bool(self._b)
 
     @property
     def is_zero(self) -> bool:
         return not self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self._a, -self._b, self._d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
+            return not self._b and (self._a, self._d) == _fields(other)
         return NotImplemented
 
     def __hash__(self):
         # matches int/Fraction hashing when purely real, so mixed dicts stay sane
-        if not self.im:
+        if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re + other, self.im)
-        return NotImplemented
+        if not isinstance(other, GaussianRational):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational(other)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            return _gaussian(a + c, b + e, d)
+        # Only g = gcd(d, f) can share a factor with the numerators over
+        # lcm(d, f), so a gcd with g normalises the sum, not one with the
+        # lcm (Knuth, TAOCP vol. 2, 4.5.1).
+        g = gcd(d, f)
+        s, t = d // g, f // g
+        a, b = a * t + c * s, b * t + e * s
+        g = gcd(a, b, g)
+        return _exact(a // g, b // g, s * (f // g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re - other.re, self.im - other.im)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re - other, self.im)
+        if isinstance(other, (GaussianRational, int, Fraction)):
+            return self + -other
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(other - self.re, -self.im)
+            return GaussianRational(other) - self
         return NotImplemented
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            if not b and not d:
-                return GaussianRational(a * c, _F0)
-            return GaussianRational(a * c - b * d, a * d + b * c)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        return NotImplemented
+        if not isinstance(other, GaussianRational):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational(other)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not b and not e:
+            return _gaussian(a * c, 0, d * f)
+        return _gaussian(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
@@ -107,11 +132,17 @@ class GaussianRational:
             other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        if not norm:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational((a * c + b * d) / norm, (b * c - a * d) / norm)
+        # (a + b*i)/d divided by (c + e*i)/f is (a + b*i)(c - e*i)*f / (d*(c^2 + e^2))
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero in Q(i)")
+            if c < 0:
+                a, b, c = -a, -b, -c
+            return _gaussian(a * f, b * f, d * c)
+        norm = c * c + e * e
+        return _gaussian((a * c + b * e) * f, (b * c - a * e) * f, d * norm)
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -121,7 +152,7 @@ class GaussianRational:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = GaussianRational(_F1)
+        result = GaussianRational.ONE
         base = self
         for _ in range(exponent):
             result = result * base
@@ -133,6 +164,27 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re}, {self.im})"
+
+
+_new = object.__new__
+
+
+def _exact(a: int, b: int, d: int) -> GaussianRational:
+    """The GaussianRational (a + b*i)/d; d > 0 and gcd(a, b, d) = 1 already."""
+    z = _new(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _gaussian(a: int, b: int, d: int) -> GaussianRational:
+    """The GaussianRational (a + b*i)/d for d > 0, brought to lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return _exact(a // g, b // g, d // g)
+    return _exact(a, b, d)
 
 
 def _signed_imag_text(im: Fraction) -> str:
@@ -290,25 +342,14 @@ class Polynomial:
         return self.names == other.names and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.names, frozenset((m, c.re, c.im) for m, c in self._terms.items())))
+        return hash((self.names, frozenset(self._terms.items())))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         self._require_same_names(other)
-        result = dict(self._terms)
-        for m, c in other._terms.items():
-            acc = result.get(m)
-            if acc is None:
-                result[m] = c
-            else:
-                s = acc + c
-                if s:
-                    result[m] = s
-                else:
-                    del result[m]
-        return Polynomial._raw(self.names, result)
+        return Polynomial._raw(self.names, _add_terms(dict(self._terms), other._terms))
 
     __radd__ = __add__
 
@@ -336,22 +377,43 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_names(other)
-        result: dict[tuple, GaussianRational] = {}
+        if len(self._terms) == 1 or len(other._terms) == 1:
+            # no two pairs meet in one monomial, so there is nothing to add up
+            return Polynomial._raw(self.names, {
+                tuple(map(add, m1, m2)): c1 * c2
+                for m1, c1 in self._terms.items() for m2, c2 in other._terms.items()
+            })
+        # Integer numerators over one denominator per operand: the pair sums
+        # stay plain ints, and each output coefficient is normalised once. A
+        # sum that cancels leaves the map, as with per-pair GaussianRational
+        # arithmetic, so the term order is the same too.
+        left, dl = _lift(self._terms)
+        right, dr = _lift(other._terms)
+        result = {}
         get = result.get
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
+        for m1, a1, b1 in left:
+            for m2, a2, b2 in right:
+                m = tuple(map(add, m1, m2))
+                if b1 or b2:
+                    re = a1 * a2 - b1 * b2
+                    im = a1 * b2 + b1 * a2
+                else:
+                    re = a1 * a2
+                    im = 0
                 acc = get(m)
                 if acc is None:
-                    result[m] = c
+                    result[m] = (re, im)
                 else:
-                    s = acc + c
-                    if s:
-                        result[m] = s
+                    re += acc[0]
+                    im += acc[1]
+                    if re or im:
+                        result[m] = (re, im)
                     else:
                         del result[m]
-        return Polynomial._raw(self.names, result)
+        d = dl * dr
+        return Polynomial._raw(
+            self.names, {m: _gaussian(re, im, d) for m, (re, im) in result.items()}
+        )
 
     __rmul__ = __mul__
 
@@ -404,24 +466,47 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
+def _add_terms(result: dict, terms: dict) -> dict:
+    """Add terms into result in place, dropping the sums that cancel."""
+    for m, c in terms.items():
+        acc = result.get(m)
+        if acc is None:
+            result[m] = c
+        else:
+            s = acc + c
+            if s:
+                result[m] = s
+            else:
+                del result[m]
+    return result
+
+
 def _term_text(c: GaussianRational, mtext: str) -> tuple[bool, str]:
     """Render one term; returns (sign is negative, unsigned body text)."""
-    if not c.im:
-        negative = c.re < 0
-        mag = -c.re if negative else c.re
+    re, im = c.re, c.im
+    if not im:
+        negative = re < 0
+        mag = -re if negative else re
         if not mtext:
             return negative, str(mag)
         if mag == 1:
             return negative, mtext
         return negative, f"{mag}*{mtext}"
-    if not c.re:
-        negative = c.im < 0
-        mag = -c.im if negative else c.im
+    if not re:
+        negative = im < 0
+        mag = -im if negative else im
         itext = "i" if mag == 1 else f"{mag}*i"
         return negative, itext if not mtext else f"{itext}*{mtext}"
     # mixed coefficients keep their own sign inside parentheses
-    ctext = f"({c.re}{_signed_imag_text(c.im)})"
+    ctext = f"({re}{_signed_imag_text(im)})"
     return False, ctext if not mtext else f"{ctext}*{mtext}"
+
+
+def _lift(terms: dict) -> tuple[list, int]:
+    """([(monomial, a, b), ...], d): each coefficient as (a + b*i)/d over
+    the least common denominator d of all of them."""
+    d = lcm(*[c._d for c in terms.values()])
+    return [(m, c._a * (k := d // c._d), c._b * k) for m, c in terms.items()], d
 
 
 def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -457,19 +542,20 @@ def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomi
         c = work.pop(exps, None)
         if c is None:
             continue
-        if all(a >= b for a, b in zip(exps, lead)):
-            t = tuple(a - b for a, b in zip(exps, lead))
+        if all(map(ge, exps, lead)):
+            t = tuple(map(sub, exps, lead))
             factor = c / lc
             quotient[t] = factor
+            factor = -factor
             for fe, fc in tail:
-                mm = tuple(a + b for a, b in zip(t, fe))
+                mm = tuple(map(add, t, fe))
                 delta = factor * fc
                 acc = work.get(mm)
                 if acc is None:
-                    work[mm] = -delta
+                    work[mm] = delta
                     heappush(heap, _heap_key(mm))
                 else:
-                    s = acc - delta
+                    s = acc + delta
                     if s:
                         work[mm] = s
                     else:
@@ -497,14 +583,25 @@ _DIGITS = frozenset("0123456789")
 # MAX_PARSE_PAIRS caps the term products of one parse, counted before each
 # runs: |L|*|R| per product (|L| per division by a constant) and at most
 # t*C(e+t-1, t) per power, the pairs of multiplying by the base e times.
-# A pair costs about 10 us with small integer coefficients and 30 us with
-# dense Gaussian rationals (2-core x86-64 host), so a parse stays within a
-# few seconds; (x+y+z)^42 spends 39,732 pairs, and
-# (x+y+z)^40*(x+y+z)^40, 810,201, is refused.
+# A pair costs about 1.1 us with small integer coefficients and 1.7 us with
+# dense Gaussian rationals (2-core x86-64 host, Python 3.11), so a parse
+# stays well within a second; (x+y+z)^42 spends 39,732 pairs, and
+# (x+y+z)^40*(x+y+z)^40, 810,201, is refused. Multiplying b1- and b2-bit
+# integers takes about b1*b2/700,000 us there, so a pair of coefficients
+# whose largest integers have b1 and b2 bits counts 1 + (b1*b2 >> 20)
+# times, and a power to the e counts its base's b as e*b against b: a
+# linear form with two 4,000-digit coefficients may be raised to the 5th
+# (88,412 pairs, 0.02 s) but not to the 20th.
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 1000
 MAX_PARSE_PAIRS = 100_000
+
+
+def _coefficient_bits(p: Polynomial) -> int:
+    """Bit length of the largest integer a, b or d of p's coefficients."""
+    return max((max(abs(c._a), abs(c._b), c._d).bit_length() for c in p._terms.values()),
+               default=0)
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -552,7 +649,8 @@ class _Parser:
     #   atom  := INT | 'i' | NAME | '(' expr ')'
     # Open parentheses and unary minus signs count towards one nesting
     # depth, at most MAX_NESTING at any point; products, divisions and
-    # powers draw on one budget of MAX_PARSE_PAIRS term pairs.
+    # powers draw on one budget of MAX_PARSE_PAIRS term pairs, weighted by
+    # coefficient size.
 
     def __init__(self, tokens, names):
         self.tokens = tokens
@@ -575,21 +673,26 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", pos)
 
-    def spend(self, pairs, pos):
-        self.pairs += pairs
+    def spend(self, pairs, bits, pos):
+        # bits: the product of the two operands' coefficient bit lengths
+        self.pairs += pairs * (1 + (bits >> 20))
         if self.pairs > MAX_PARSE_PAIRS:
-            raise ParseError(f"expression needs more than {MAX_PARSE_PAIRS} term products", pos)
+            raise ParseError(
+                f"expression needs more than {MAX_PARSE_PAIRS} term products, "
+                "weighted by coefficient size", pos
+            )
 
     def expr(self) -> Polynomial:
-        left = self.term()
+        # one running sum, so each term read is added once and never copied again
+        total = dict(self.term().terms)
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
                 right = self.term()
-                left = left + right if value == "+" else left - right
+                _add_terms(total, (right if value == "+" else -right).terms)
             else:
-                return left
+                return Polynomial._raw(self.names, total)
 
     def term(self) -> Polynomial:
         left = self.unary()
@@ -598,7 +701,8 @@ class _Parser:
             if kind == "op" and value in "*/":
                 self.take()
                 right = self.unary()
-                self.spend(len(left.terms) * (len(right.terms) if value == "*" else 1), pos)
+                bits = _coefficient_bits(left) * _coefficient_bits(right)
+                self.spend(len(left.terms) * (len(right.terms) if value == "*" else 1), bits, pos)
                 if value == "*":
                     left = left * right
                 else:
@@ -635,7 +739,8 @@ class _Parser:
             t = len(base.terms)
             if comb(value + max(t, 1) - 1, value) > MAX_POWER_TERMS:
                 raise ParseError(f"power may have more than {MAX_POWER_TERMS} terms", pos)
-            self.spend(t * comb(value + t - 1, t) if t else 0, pos)
+            bits = _coefficient_bits(base)
+            self.spend(t * comb(value + t - 1, t) if t else 0, value * bits * bits, pos)
             return base**value
         return base
 
@@ -673,8 +778,10 @@ def parse(text: str, names=("x", "y", "z")) -> Polynomial:
     Raises ParseError on malformed text, on an exponent literal above
     MAX_EXPONENT (1000), on a power whose result may have more than
     MAX_POWER_TERMS (1000) terms, on more than MAX_PARSE_PAIRS (100,000)
-    term products in all, and on parentheses and unary minus signs nested
-    more than MAX_NESTING (100) deep; the CLI reports these with exit 2.
+    term products in all (a pair of coefficients whose largest integers have
+    b1 and b2 bits counts 1 + b1*b2 // 2**20 times), and on parentheses and
+    unary minus signs nested more than MAX_NESTING (100) deep; the CLI
+    reports these with exit 2.
     """
     names = _check_names(names)
     parser = _Parser(_tokenize(text), names)

@@ -19,14 +19,19 @@ NAMES = ("x", "y", "z")
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def child_env() -> dict:
+    """The environment of a child process that imports this checkout."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_cli(*args, timeout=None):
     """Run `python -m hyperconn` in a child process that imports this checkout."""
-    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "hyperconn", *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         timeout=timeout,
     )
 

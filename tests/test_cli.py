@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -24,7 +27,7 @@ from hyperconn.cli import (
 )
 from hyperconn.matring import MatrixA
 from hyperconn.polycore import MAX_EXPONENT, MAX_POWER_TERMS
-from helpers import run_cli
+from helpers import child_env, run_cli
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
 
@@ -166,6 +169,17 @@ def test_eval_power_term_bound_exit_2():
     result = run_cli("eval", "(x+y+z)^1000", "mod", "x^2+y^2+z^2-1", timeout=30)
     assert result.returncode == 2
     assert f"more than {MAX_POWER_TERMS} terms" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("exponent", [20, 42])
+def test_eval_coefficient_size_bound_exit_2(exponent):
+    # few terms, but every coefficient grows to tens of thousands of digits:
+    # the 20th power took seconds and the 42nd did not finish in a minute
+    base = f"({'9' * 4000}*x+{'8' * 4000}*y+z)"
+    result = run_cli("eval", f"{base}^{exponent}", "mod", "x^2+y^2+z^2-1", timeout=30)
+    assert result.returncode == 2
+    assert "weighted by coefficient size" in result.stderr
     assert "Traceback" not in result.stderr
 
 
@@ -316,7 +330,7 @@ def test_sweep_parallel_clamped_to_triples_and_cpus(monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(
         cli, "run_verification", lambda ex, p, q, r: VerificationReport(ex, p, q, r, (), (), ())
     )
@@ -329,6 +343,16 @@ def test_sweep_parallel_clamped_to_triples_and_cpus(monkeypatch, capsys):
     assert main(["sweep", "sphere", "--max", "2", "--parallel", "1000000"]) == 0
     assert pools == [4, 3]  # one triple, or an unknown CPU count, runs serially
     capsys.readouterr()
+
+
+def test_cli_import_leaves_process_pool_out():
+    # only sweep --parallel needs the pool machinery; every other start skips it
+    code = "import sys, hyperconn.cli; print('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_failed_report_maps_to_exit_one():

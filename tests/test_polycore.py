@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from random import Random
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,7 @@ from hyperconn import (
     divide_remainder,
     parse,
 )
-from hyperconn.polycore import MAX_EXPONENT, MAX_NESTING, _heap_key
+from hyperconn.polycore import MAX_EXPONENT, MAX_NESTING, _heap_key, _term_text
 from helpers import NAMES, nonzero_gaussian, nonzero_polynomial, random_gaussian, random_polynomial
 
 # Deterministic and bounded, so the property tests run the same examples
@@ -85,6 +87,120 @@ def rescan_divide_remainder(p, f):
     return Polynomial(p.names, quotient), Polynomial(p.names, remainder)
 
 
+class FractionGaussian:
+    """Reference Q(i) arithmetic on pairs of reduced Fractions.
+
+    This is the representation GaussianRational had before it became three
+    normalised integers; it stays here only to check the integer kernel
+    against it.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def conjugate(self):
+        return FractionGaussian(self.re, -self.im)
+
+    def __eq__(self, other):
+        if isinstance(other, FractionGaussian):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other
+        return NotImplemented
+
+    def __hash__(self):
+        if not self.im:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __add__(self, other):
+        if isinstance(other, FractionGaussian):
+            return FractionGaussian(self.re + other.re, self.im + other.im)
+        return FractionGaussian(self.re + other, self.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, FractionGaussian):
+            return FractionGaussian(self.re - other.re, self.im - other.im)
+        return FractionGaussian(self.re - other, self.im)
+
+    def __rsub__(self, other):
+        return FractionGaussian(other - self.re, -self.im)
+
+    def __neg__(self):
+        return FractionGaussian(-self.re, -self.im)
+
+    def __mul__(self, other):
+        if isinstance(other, FractionGaussian):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return FractionGaussian(a * c - b * d, a * d + b * c)
+        return FractionGaussian(self.re * other, self.im * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, FractionGaussian):
+            other = FractionGaussian(other)
+        norm = other.re * other.re + other.im * other.im
+        if not norm:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return FractionGaussian((a * c + b * d) / norm, (b * c - a * d) / norm)
+
+    def __rtruediv__(self, other):
+        return FractionGaussian(other) / self
+
+    def __str__(self):
+        negative, body = _term_text(self, "")
+        return "-" + body if negative else body
+
+    def __repr__(self):
+        return f"GaussianRational({self.re}, {self.im})"
+
+
+def pairwise_mul(p, q):
+    """Reference product: one GaussianRational product and sum per term pair.
+
+    This is the loop Polynomial.__mul__ ran before it accumulated integer
+    numerators; it stays here only to check the integer loop against it.
+    """
+    result = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            c = c1 * c2
+            acc = result.get(m)
+            if acc is None:
+                result[m] = c
+            else:
+                s = acc + c
+                if s:
+                    result[m] = s
+                else:
+                    del result[m]
+    return Polynomial(p.names, result)
+
+
+def canonical(z):
+    """True when z holds (a + b*i)/d in lowest terms with d > 0."""
+    fields = (z._a, z._b, z._d)
+    return all(type(k) is int for k in fields) and z._d > 0 and gcd(*fields) == 1
+
+
+def same_value(z, ref):
+    """z is a canonical GaussianRational equal to the reference value ref."""
+    return (isinstance(z, GaussianRational) and canonical(z)
+            and (z.re, z.im) == (ref.re, ref.im)
+            and type(z.re) is Fraction and type(z.im) is Fraction)
+
+
 def test_gaussian_basic_values():
     assert str(GaussianRational(0)) == "0"
     assert str(GaussianRational(3)) == "3"
@@ -130,6 +246,90 @@ def test_gaussian_inverse_and_powers():
         assert a ** 0 == GaussianRational(1)
     i = GaussianRational(0, 1)
     assert i * i == GaussianRational(-1)
+
+
+# ints and Fractions with mixed denominators, some far beyond machine words
+rationals = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    st.integers(-(10**30), 10**30),
+)
+gaussian_parts = st.tuples(rationals, rationals)
+# exponents 0..2 make the products of two polynomials collide and cancel
+mixed_polynomials = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * len(NAMES)),
+    gaussian_parts.map(lambda parts: GaussianRational(*parts)),
+    max_size=8,
+).map(lambda terms: Polynomial(NAMES, terms))
+
+
+@PROPERTY
+@given(gaussian_parts, gaussian_parts)
+@example((0, 0), (Fraction(-1, 2), 3))
+@example((Fraction(1, 6), Fraction(1, 4)), (Fraction(5, 6), Fraction(-1, 4)))  # sum is 1
+@example((Fraction(3, 2), 0), (0, 0))  # division by zero
+def test_gaussian_kernel_matches_fraction_reference(x, y):
+    z, w = GaussianRational(*x), GaussianRational(*y)
+    rz, rw = FractionGaussian(*x), FractionGaussian(*y)
+    assert same_value(z, rz)
+    assert same_value(z + w, rz + rw)
+    assert same_value(z - w, rz - rw)
+    assert same_value(z * w, rz * rw)
+    if rw:
+        assert same_value(z / w, rz / rw)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            z / w
+    assert same_value(-z, -rz)
+    assert same_value(z.conjugate(), rz.conjugate())
+    assert (z == w) == (rz == rw)
+    assert bool(z) == bool(rz)
+    assert hash(z) == hash(rz)
+    assert str(z) == str(rz)
+    assert repr(z) == repr(rz)
+
+
+@PROPERTY
+@given(gaussian_parts, rationals)
+@example((Fraction(1, 2), 0), Fraction(1, 2))
+@example((4, 0), 4)
+def test_gaussian_kernel_mixed_operands_match_reference(x, n):
+    z, rz = GaussianRational(*x), FractionGaussian(*x)
+    assert same_value(z + n, rz + n)
+    assert same_value(n + z, n + rz)
+    assert same_value(z - n, rz - n)
+    assert same_value(n - z, n - rz)
+    assert same_value(z * n, rz * n)
+    assert same_value(n * z, n * rz)
+    if n:
+        assert same_value(z / n, rz / n)
+    if rz:
+        assert same_value(n / z, n / rz)
+    assert (z == n) == (rz == n) == (n == z)
+    if z == n:
+        assert hash(z) == hash(n)
+
+
+def test_gaussian_accepts_only_int_and_fraction():
+    for bad in (1.5, "1", None, complex(1, 1)):
+        with pytest.raises(TypeError):
+            GaussianRational(bad)
+        with pytest.raises(TypeError):
+            GaussianRational(1, bad)
+    assert same_value(GaussianRational(True, Fraction(2, 4)), FractionGaussian(1, Fraction(1, 2)))
+
+
+@PROPERTY
+@given(mixed_polynomials, mixed_polynomials)
+@example(parse("x+y"), parse("x-y"))
+@example(parse("x+y+1"), parse("y-x+x*y"))  # x*y cancels, then comes back last
+@example(parse("x/2+i*y/3"), parse("x/2-i*y/3"))
+@example(parse("x/6+y/4"), parse("6*x-4*y"))
+def test_integer_product_matches_pairwise_reference(p, q):
+    product = p * q
+    # same terms in the same order, so printed and hashed forms agree too
+    assert list(product.terms.items()) == list(pairwise_mul(p, q).terms.items())
+    assert all(canonical(c) for c in product.terms.values())
 
 
 def test_polynomial_rejects_invalid_monomials():
@@ -354,6 +554,41 @@ def test_parse_pair_budget():
     # and so do divisions by a constant, |L| pairs each
     with pytest.raises(ParseError, match="term products"):
         parse("(x+y+z)^20" + "/2" * 500)
+
+
+def test_parse_pair_budget_weighs_coefficient_size():
+    n, m = "9" * 4000, "8" * 4000  # about 13,300 bits each
+    assert len(parse(f"({n}*x+{m}*y+z)^5").terms) == 21
+    with pytest.raises(ParseError, match="weighted by coefficient size") as err:
+        parse(f"({n}*x+{m}*y+z)^20")
+    assert err.value.position == 8010
+    # one pair of 4,000-digit literals counts 1 + 13,288^2 >> 20 = 169 pairs
+    assert parse(f"{n}*{m}") == Polynomial(NAMES, {(0, 0, 0): int(n) * int(m)})
+    with pytest.raises(ParseError, match="weighted by coefficient size"):
+        parse(f"({n}*(x+y+z)^20)*({m}*(x+y+z)^20)")
+    # the canonical text of a large coefficient still round-trips
+    p = Polynomial(NAMES, {(2, 1, 0): GaussianRational(Fraction(int(n), int(m) + 1), 3)})
+    assert parse(str(p)) == p
+
+
+def test_parse_sum_is_linear_in_terms_read():
+    # a sum used to copy its left operand at every '+', so each '+0' after
+    # a 9,460-term polynomial cost 9,460 term copies instead of one addition
+    left = "(x+y+z)^42*(" + "+".join(f"x^{50 * k}" for k in range(10)) + ")"
+    zeros = "+0" * 20_000
+
+    def best_of_three(text):
+        times = []
+        for _ in range(3):
+            start = perf_counter()
+            parse(text)
+            times.append(perf_counter() - start)
+        return min(times)
+
+    # the '+0's cost about as much after the large operand as after x
+    # (11 times as much when the left operand was copied)
+    after_left = best_of_three(left + zeros) - best_of_three(left)
+    assert after_left < 3 * best_of_three("x" + zeros)
 
 
 @pytest.mark.parametrize(

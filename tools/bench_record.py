@@ -1,0 +1,98 @@
+"""Record one benchmark run into BENCH_<LABEL>.json at the repository root.
+
+Usage (from anywhere):
+
+    python3 tools/bench_record.py LABEL WORKLOAD SEED
+
+Runs ``perfbench/run.py --workload WORKLOAD --seed SEED --seconds 35
+--trace 0`` on this checkout, echoes its report, and merges the result into
+BENCH_<LABEL>.json: the commit, Python version and CPU count once, and per
+workload every run (seed, attempted, failed, the five end-to-end metrics)
+with the median and quartiles of each metric over the runs so far. A file
+holds the runs of one commit only; a run of another commit, or one that
+leaves uncommitted changes to tracked files, is refused.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 35
+METRICS = ("ops_per_s", "latency_p50_ms", "latency_p90_ms", "setup_s", "peak_rss_mb")
+
+
+def git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def summary(values):
+    """Median and quartiles; one run is its own median and quartiles."""
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv) -> int:
+    if len(argv) != 3 or not argv[2].lstrip("-").isdigit():
+        print("usage: bench_record.py LABEL WORKLOAD SEED", file=sys.stderr)
+        return 2
+    label, workload, seed = argv[0], argv[1], int(argv[2])
+    commit = git("rev-parse", "HEAD")
+    if git("status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)BENCH_*.json"):
+        print("error: tracked files differ from the commit; commit them first", file=sys.stderr)
+        return 2
+    path = ROOT / f"BENCH_{label}.json"
+    record = json.loads(path.read_text()) if path.exists() else {
+        "label": label,
+        "commit": commit,
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
+        "workloads": {},
+    }
+    if record["commit"] != commit:
+        print(f"error: {path.name} holds runs of {record['commit']}, not {commit}", file=sys.stderr)
+        return 2
+
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    sys.stdout.write(proc.stdout)
+    sys.stderr.write(proc.stderr)
+    if proc.returncode != 0:
+        return proc.returncode
+    result = json.loads(proc.stdout.splitlines()[-1])
+
+    entry = record["workloads"].setdefault(workload, {"runs": []})
+    entry["runs"].append({
+        "seed": seed,
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: result["metrics"][name]["value"] for name in METRICS},
+    })
+    runs = entry["runs"]
+    entry["attempted"] = sum(run["attempted"] for run in runs)
+    entry["failed"] = sum(run["failed"] for run in runs)
+    entry["summary"] = {
+        name: {**summary([run["metrics"][name] for run in runs]),
+               "unit": result["metrics"][name]["unit"]}
+        for name in METRICS
+    }
+    path.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"recorded run {len(runs)} of {workload} in {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
