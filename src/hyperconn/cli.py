@@ -32,7 +32,7 @@ from math import comb
 from . import catalog
 from .conn import connection_apply, curvature_report, deviation_report
 from .deriv import bracket
-from .polycore import ParseError, parse
+from .polycore import ParseError, _coefficient_bits, parse
 from .quotient import QuotientRing
 
 _GOLDEN_TRIPLE = (1, 1, 1)
@@ -47,6 +47,12 @@ MAX_SWEEP = 20
 # Python 3.11, eval runs near the limit take 0.25 to 0.65 s, start-up
 # included (x^72 mod x^2+y^2+z^2-1, x^58 mod (x+y+z)^2-1). x^72 is accepted
 # and x^73 is refused; x^1000 mod x^2-1 (v = 1) is accepted.
+# Each reduction step multiplies by a coefficient of f and divides by its
+# leading one, so with b the bit length of f's largest coefficient integer
+# the coefficients grow to about d*b bits, and an update costs about
+# 1 + (d*b >> 11) updates on small ones (x^e mod N*x^2+y^2+z^2-1 with N of
+# 10 to 4,000 digits); the bound counts each update that many times. With
+# coefficients of +-1 (b = 1) the weight is 1 up to d = 2,047.
 MAX_EVAL_WORK = 250_000
 
 
@@ -492,12 +498,26 @@ def cmd_eval(args) -> int:
     d = expression.degree() - modulus.degree()
     monomials = [*expression.terms, *modulus.terms]
     v = sum(1 for k in range(modulus.arity) if any(m[k] for m in monomials))
-    if d >= 0 and comb(d + v, v) * len(modulus.terms) > MAX_EVAL_WORK:
+    if d >= 0 and (comb(d + v, v) * len(modulus.terms)
+                   * (1 + (d * _coefficient_bits(modulus) >> 11)) > MAX_EVAL_WORK):
         raise UsageError(
             f"reducing a degree {expression.degree()} expression modulo a degree "
-            f"{modulus.degree()} modulus may take more than {MAX_EVAL_WORK} term updates"
+            f"{modulus.degree()} modulus may take more than {MAX_EVAL_WORK} term updates, "
+            "weighted by coefficient size"
         )
-    sys.stdout.write(str(ring.element(expression)) + "\n")
+    result = ring.element(expression).rep
+    try:
+        text = str(result)
+    except ValueError:
+        # printing an int of more digits than this limit raises ValueError;
+        # any other ValueError is a bug and stays one
+        limit = sys.get_int_max_str_digits()
+        printed = (q for c in result.terms.values() for q in (c.re, c.im))
+        if not limit or max(max(abs(q.numerator), q.denominator) for q in printed) < 10**limit:
+            raise
+        raise UsageError(f"the result has a coefficient of more than {limit} digits, "
+                         "the interpreter's limit for printing an integer") from None
+    sys.stdout.write(text + "\n")
     return 0
 
 

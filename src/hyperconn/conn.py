@@ -3,16 +3,16 @@
 A projective module is presented as the image of an idempotent matrix Phi
 acting on a free module. The connection operator for a tangent derivation
 delta sends v to D_delta(v) + delta(Phi)*v, its curvature for a pair is the
-commutator [delta(Phi), eta(Phi)], and traces over the module and its
-complement are computed by conjugation with Phi and Psi = I - Phi. All
-comparisons are exact zero tests in the quotient ring.
+commutator [delta(Phi), eta(Phi)], and the traces over the module and its
+complement are tr(Phi*C) and tr(Psi*C), Psi = I - Phi (an idempotent cycles
+out of a trace). All comparisons are exact zero tests in the quotient ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matring import MatrixA, commutator
+from .matring import MatrixA, commutator, trace_product
 from .deriv import Derivation, bracket
 from .quotient import QuotientRing, RingElement
 
@@ -119,15 +119,13 @@ def _require_endomorphism(p: ProjectivePresentation, c: MatrixA):
 
 
 def trace_over_image(p: ProjectivePresentation, c: MatrixA) -> RingElement:
-    """Trace of the endomorphism induced on the module: tr(Phi*C*Phi)."""
-    _require_endomorphism(p, c)
-    return (p.phi * c * p.phi).trace()
+    """Trace of the endomorphism induced on the module: tr(Phi*C*Phi) = tr(Phi*C)."""
+    return trace_product(p.phi, c)
 
 
 def trace_over_kernel(p: ProjectivePresentation, c: MatrixA) -> RingElement:
-    """Trace of the endomorphism induced on the complement: tr(Psi*C*Psi)."""
-    _require_endomorphism(p, c)
-    return (p.psi * c * p.psi).trace()
+    """Trace of the endomorphism induced on the complement: tr(Psi*C*Psi) = tr(Psi*C)."""
+    return trace_product(p.psi, c)
 
 
 @dataclass(frozen=True)
@@ -138,11 +136,7 @@ class CurvatureReport:
     commutator: MatrixA
     trace_image: RingElement
     trace_kernel: RingElement
-    induced: MatrixA  # Phi*C*Phi, the endomorphism C induces on the module
-
-    @property
-    def induced_nonzero(self) -> bool:
-        return not self.induced.is_zero
+    induced: MatrixA  # Phi*C = Phi*C*Phi, the endomorphism C induces on the module
 
     def to_json(self) -> dict:
         return {
@@ -150,7 +144,7 @@ class CurvatureReport:
             "commutator": self.commutator.to_json(),
             "trace_image": str(self.trace_image),
             "trace_kernel": str(self.trace_kernel),
-            "flat": not self.induced_nonzero,
+            "flat": self.induced.is_zero,
         }
 
 
@@ -167,7 +161,10 @@ def curvature_report(
     total = c.trace()
     if trace_image + trace_kernel != total or not total.is_zero:
         raise PresentationError("trace split failed to sum to the (zero) commutator trace")
-    induced = p.phi * c * p.phi
+    # Phi*C = C*Phi: differentiating Phi^2 = Phi gives Phi*d(Phi) = d(Phi)*Psi
+    # and Psi*d(Phi) = d(Phi)*Phi, so Phi*d(Phi)*e(Phi) = d(Phi)*e(Phi)*Phi for
+    # d, e = delta, eta and either order. Hence Phi*C*Phi = Phi*Phi*C = Phi*C.
+    induced = p.phi * c
     return CurvatureReport((label_delta, label_eta), c, trace_image, trace_kernel, induced)
 
 

@@ -44,14 +44,9 @@ class Derivation:
         return self._apply_rep(self.ring.modulus)
 
     def _apply_rep(self, rep: Polynomial) -> RingElement:
-        ring = self.ring
-        acc = Polynomial.zero(ring.names)
-        for index, image in enumerate(self.images):
-            partial = rep.partial_derivative(index)
-            if partial.is_zero or image.rep.is_zero:
-                continue
-            acc = acc + partial * image.rep
-        return ring.nf(acc)
+        return self.ring.dot(
+            (rep.partial_derivative(index), image.rep) for index, image in enumerate(self.images)
+        )
 
     def apply(self, a: RingElement) -> RingElement:
         """Chain rule on the reduced representative, reduced once."""

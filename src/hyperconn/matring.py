@@ -1,16 +1,16 @@
 """Matrix algebra over a hypersurface quotient ring.
 
-Products accumulate raw polynomial arithmetic and reduce each entry once,
-so the expensive normal-form step runs once per result entry. Determinants
-and characteristic polynomials use cofactor expansion, which is exact and
-ample for the small matrices that occur here.
+Each product entry, and trace_product's tr(a*b) (read off the diagonal
+pairs without forming a*b), is one sum of products reduced once by
+QuotientRing.dot. Determinants and characteristic polynomials use cofactor
+expansion, which is exact and ample for the small matrices that occur here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .polycore import GaussianRational, Polynomial
+from .polycore import GaussianRational
 from .quotient import QuotientRing, RingElement
 
 _COFACTOR_LIMIT = 6
@@ -141,17 +141,10 @@ class MatrixA:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            ring = self.ring
-            names = ring.names
-            out = []
-            for i in range(self.rows):
-                row = [self.entries[i * self.cols + k].rep for k in range(self.cols)]
-                for j in range(other.cols):
-                    acc = Polynomial.zero(names)
-                    for k in range(self.cols):
-                        acc = acc + row[k] * other.entries[k * other.cols + j].rep
-                    out.append(ring.nf(acc))
-            return MatrixA(ring, self.rows, other.cols, out)
+            columns = [other.column(j) for j in range(other.cols)]
+            out = [self.ring.dot((a.rep, b.rep) for a, b in zip(self.row(i), column))
+                   for i in range(self.rows) for column in columns]
+            return MatrixA(self.ring, self.rows, other.cols, out)
         if isinstance(other, (int, Fraction, GaussianRational, RingElement)):
             return self.scale(other)
         return NotImplemented
@@ -169,17 +162,8 @@ class MatrixA:
         vec = [self.ring.element(v) for v in vector]
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} does not match {self.cols} columns")
-        ring = self.ring
-        names = ring.names
-        reps = [v.rep for v in vec]
-        out = []
-        for i in range(self.rows):
-            acc = Polynomial.zero(names)
-            base = i * self.cols
-            for k in range(self.cols):
-                acc = acc + self.entries[base + k].rep * reps[k]
-            out.append(ring.nf(acc))
-        return tuple(out)
+        return tuple(self.ring.dot((a.rep, v.rep) for a, v in zip(self.row(i), vec))
+                     for i in range(self.rows))
 
     def transpose(self) -> "MatrixA":
         return MatrixA(
@@ -406,6 +390,16 @@ def _wrap(text: str) -> str:
     if "+" in text or "-" in text:
         return f"({text})"
     return text
+
+
+def trace_product(a: MatrixA, b: MatrixA) -> RingElement:
+    """tr(a*b), the sum of a[i][k]*b[k][i] reduced once, without forming a*b."""
+    if a.ring != b.ring:
+        raise ValueError("matrices belong to different rings")
+    if (a.rows, a.cols) != (b.cols, b.rows):
+        raise ValueError(f"a*b is not square: {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    return a.ring.dot((x.rep, y.rep) for i in range(a.rows)
+                      for x, y in zip(a.row(i), b.column(i)))
 
 
 def commutator(a: MatrixA, b: MatrixA) -> MatrixA:

@@ -12,6 +12,7 @@ from fractions import Fraction
 from .polycore import (
     GaussianRational,
     Polynomial,
+    _add_terms,
     divide_remainder,
     parse,
 )
@@ -39,6 +40,14 @@ class QuotientRing:
             raise ValueError(f"variable mismatch: {p.names} vs {self.names}")
         _, remainder = divide_remainder(p, self.modulus)
         return RingElement(self, remainder, _reduced=True)
+
+    def dot(self, pairs) -> "RingElement":
+        """Normal form of the sum of a*b over polynomial pairs, reduced once."""
+        acc = {}
+        for a, b in pairs:
+            if a and b:
+                _add_terms(acc, (a * b).terms)
+        return self.nf(Polynomial._raw(self.names, acc))
 
     def element(self, value) -> "RingElement":
         if isinstance(value, RingElement):

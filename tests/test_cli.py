@@ -26,7 +26,8 @@ from hyperconn.cli import (
     run_verification,
 )
 from hyperconn.matring import MatrixA
-from hyperconn.polycore import MAX_EXPONENT, MAX_POWER_TERMS
+from hyperconn.polycore import MAX_EXPONENT, MAX_POWER_TERMS, parse
+from hyperconn.quotient import QuotientRing
 from helpers import child_env, run_cli
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
@@ -196,6 +197,48 @@ def test_eval_normal_form_work_bound_exit_2(capsys):
     assert "term updates" in capsys.readouterr().err
 
 
+def test_eval_work_bound_weighs_modulus_coefficients(capsys):
+    # every reduction step divides by the 4,000-digit leading coefficient, so
+    # the reduction would run for over 30 s
+    result = run_cli("eval", "x^72", "mod", f"{'9' * 4000}*x^2+y^2+z^2-1", timeout=30)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "term updates, weighted by coefficient size" in result.stderr
+    assert "Traceback" not in result.stderr
+    # coefficients of +-1 weigh 1: x^72 is still the largest sphere power reduced
+    assert main(["eval", "x^72", "mod", "x^2+y^2+z^2-1"]) == 0
+    sphere = QuotientRing(parse("x^2+y^2+z^2-1"))
+    assert capsys.readouterr().out == f"{sphere.element('x^72')}\n"
+
+
+@pytest.mark.parametrize(
+    "expression, modulus, message",
+    [
+        (f"{'9' * 4000}*{'8' * 4000}", "x^2+y^2+z^2-1", "limit for printing an integer"),
+        (f"({'9' * 4000}*x+{'8' * 4000}*y+z)^5", "x^2+y^2+z^2-1", "limit for printing"),
+        ("x^72", f"{'7' * 150}*x^2+y^2+z^2-1", "weighted by coefficient size"),
+    ],
+    ids=["product", "power", "modulus"],
+)
+def test_eval_unprintable_result_exit_2(expression, modulus, message):
+    # each result would have a coefficient past Python's 4,300-digit
+    # int-to-str limit; the work bound's coefficient weight refuses the third
+    # before reducing
+    result = run_cli("eval", expression, "mod", modulus, timeout=30)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert message in result.stderr
+
+
+def test_eval_prints_up_to_the_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    largest = "9" * limit
+    assert main(["eval", largest, "mod", "x^2+y^2+z^2-1"]) == 0
+    assert capsys.readouterr().out == largest + "\n"
+    assert main(["eval", f"({largest}+1)*x", "mod", "x^2+y^2+z^2-1"]) == 2
+    assert f"more than {limit} digits" in capsys.readouterr().err
+
+
 def test_eval_operands_led_by_minus(capsys):
     result = run_cli("eval", "-x", "mod", "x^2-1")
     assert (result.returncode, result.stdout, result.stderr) == (0, "-x\n", "")
@@ -236,10 +279,10 @@ def test_report_list_checks_covers_report_names():
 
 @pytest.mark.parametrize("example, triple", [("ellipsoid", (2, 3, 4)), ("sphere", (1, 1, 1))])
 def test_verification_shares_curvature_work(monkeypatch, example, triple):
-    # rows and the curvature block share one curvature report per pair, and
-    # the nonflat row reads Phi*C*Phi off its report, so a verify makes no
-    # more matrix products than those reports need
-    limit = {"ellipsoid": 26, "sphere": 28}[example]
+    # rows and the curvature block share one curvature report per pair, the
+    # nonflat row reads Phi*C*Phi off its report, and a report forms only the
+    # commutator and Phi*C (its traces are taken without forming a product)
+    limit = {"ellipsoid": 11, "sphere": 13}[example]
     calls = []
     original = MatrixA.__mul__
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -103,7 +104,7 @@ def test_curvature_of_free_summand_is_zero():
     p = _diag_presentation()
     c = curvature_matrix(p, GENS[0], GENS[1])
     assert c.is_zero
-    assert not curvature_report(p, GENS[0], GENS[1], "d1", "d2").induced_nonzero
+    assert curvature_report(p, GENS[0], GENS[1], "d1", "d2").induced.is_zero
 
 
 def test_trace_split_sums_to_zero():
@@ -117,13 +118,28 @@ def test_trace_split_sums_to_zero():
         assert (trace_over_image(pres, c) + trace_over_kernel(pres, c)).is_zero
 
 
+@pytest.mark.parametrize(
+    "build, values",
+    [(build_ellipsoid_cotangent, (2, 3, 4)), (build_sphere_line_bundle, (1, 2))],
+    ids=["ellipsoid", "sphere"],
+)
+def test_idempotent_commutes_with_its_curvature(build, values):
+    # curvature_report takes the induced endomorphism Phi*C*Phi as Phi*C
+    for triple in product(values, repeat=3):
+        ex = build(*triple)
+        phi = ex.presentation.phi
+        for delta, eta in combinations(ex.derivations, 2):
+            c = curvature_matrix(ex.presentation, delta, eta)
+            assert phi * c == c * phi == phi * c * phi, triple
+
+
 def test_curvature_report_fields():
     ex = build_ellipsoid_cotangent(2, 2, 3)
     report = curvature_report(ex.presentation, ex.derivations[0], ex.derivations[1], "d1", "d2")
     assert report.pair == ("d1", "d2")
     assert report.trace_image.is_zero
     assert report.trace_kernel.is_zero
-    assert report.induced_nonzero
+    assert not report.induced.is_zero
     data = report.to_json()
     assert data["pair"] == ["d1", "d2"]
     assert data["trace_image"] == "0"

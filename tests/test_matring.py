@@ -13,7 +13,8 @@ from hyperconn import (
     commutator,
     parse,
 )
-from helpers import random_element, random_matrix
+from hyperconn.matring import trace_product
+from helpers import random_element, random_matrix, random_polynomial
 
 SPHERE = QuotientRing(parse("x^2+y^2+z^2-1"))
 
@@ -68,6 +69,26 @@ def test_trace_linear_and_cyclic():
         assert (a + b).trace() == a.trace() + b.trace()
         assert (a * b).trace() == (b * a).trace()
         assert commutator(a, b).trace().is_zero
+
+
+def test_trace_product_is_trace_of_product():
+    rng = Random(771203)
+    for _ in range(20):
+        a = random_matrix(rng, SPHERE, 3)
+        b = random_matrix(rng, SPHERE, 3)
+        assert trace_product(a, b) == (a * b).trace()
+        assert str(trace_product(a, b)) == str((a * b).trace())
+    wide = MatrixA.from_rows(SPHERE, [[random_polynomial(rng) for _ in range(3)] for _ in range(2)])
+    tall = MatrixA.from_rows(SPHERE, [[random_polynomial(rng) for _ in range(2)] for _ in range(3)])
+    assert trace_product(wide, tall) == (wide * tall).trace()
+    assert trace_product(tall, wide) == (tall * wide).trace()
+    with pytest.raises(ValueError):
+        trace_product(wide, wide)
+    with pytest.raises(ValueError):
+        trace_product(random_matrix(rng, SPHERE, 3), tall)
+    other = QuotientRing(parse("x^2+y^2+z^2-2"))
+    with pytest.raises(ValueError):
+        trace_product(MatrixA.identity(SPHERE, 2), MatrixA.identity(other, 2))
 
 
 def test_commutator_requires_square_same_shape():

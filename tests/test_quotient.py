@@ -6,7 +6,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperconn import GaussianRational, Polynomial, QuotientRing, parse
@@ -82,6 +82,28 @@ def test_element_ring_laws(ring, a, b, c):
     assert a + b == b + a
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
+
+
+def per_sum_loop(ring, pairs):
+    # the loop QuotientRing.dot replaced: a new Polynomial per +, then one nf
+    acc = Polynomial.zero(ring.names)
+    for a, b in pairs:
+        acc = acc + a * b
+    return ring.nf(acc)
+
+
+@pytest.mark.parametrize("ring", [SPHERE, CUBIC], ids=["sphere", "cubic"])
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(pairs=st.lists(st.tuples(small_polynomials, small_polynomials), max_size=4),
+       cancel=st.booleans())
+@example(pairs=[(Polynomial.zero(NAMES), parse("x+1")), (parse("x*y-i"), parse("2*z"))],
+         cancel=True)
+def test_dot_matches_per_sum_loop(ring, pairs, cancel):
+    if cancel and pairs:
+        pairs = pairs + [(-pairs[-1][0], pairs[-1][1])]  # the last two pairs cancel
+    got, want = ring.dot(pairs), per_sum_loop(ring, pairs)
+    assert list(got.rep.terms.items()) == list(want.rep.terms.items())
+    assert str(got) == str(want)
 
 
 def test_element_pow():
