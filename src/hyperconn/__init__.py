@@ -24,6 +24,7 @@ from .conn import (
     PresentationError,
     ProjectivePresentation,
     connection_apply,
+    connection_matrix,
     curvature_matrix,
     curvature_report,
     deviation_report,
@@ -65,6 +66,7 @@ __all__ = [
     "build_sphere_line_bundle",
     "commutator",
     "connection_apply",
+    "connection_matrix",
     "curvature_matrix",
     "curvature_report",
     "deviation_report",

@@ -10,8 +10,10 @@ Output is always plain text, so NO_COLOR needs no special handling.
 Each example's checks are one ordered table of (name, check) rows; the
 sphere's golden rows run only at (1, 1, 1), and report --list-checks reads
 its names from these tables. A verify computes each pair's curvature
-report once; the rows and the curvature block share it, so --timings
-charges that memoised work to the first row that touches it.
+report once; the rows and the curvature block share it. Each delta(Phi)
+is formed once too, kept on the presentation by conn.connection_matrix and
+shared by the golden, connection and curvature rows. --timings charges
+this memoised work to the first row that touches it.
 
 Exit codes: 0 when no check fails (discrepancies allowed), 1 when any
 check fails, 2 for usage or parse errors, 3 for an internal error (any
@@ -30,7 +32,7 @@ from itertools import product
 from math import comb
 
 from . import catalog
-from .conn import connection_apply, curvature_report, deviation_report
+from .conn import connection_apply, connection_matrix, curvature_report, deviation_report
 from .deriv import bracket
 from .polycore import ParseError, _coefficient_bits, parse
 from .quotient import QuotientRing
@@ -139,7 +141,8 @@ class _Context:
     """One example at one triple, with the work its rows share memoised.
 
     Each pair's curvature report is computed once, by whichever row or the
-    curvature block asks for it first.
+    curvature block asks for it first; each delta(Phi) likewise, in the
+    presentation's own memo (conn.connection_matrix).
     """
 
     def __init__(self, example: str, p: int, q: int, r: int):
@@ -219,7 +222,7 @@ _ELLIPSOID_ROWS = (
     *_per_index(
         "d{}M-golden",
         lambda ctx, i: _match_status(
-            ctx.ex.derivations[i].apply_to_matrix(ctx.pres.phi), ctx.expected(f"d{i + 1}M")
+            connection_matrix(ctx.pres, ctx.ex.derivations[i]), ctx.expected(f"d{i + 1}M")
         ),
     ),
     *_per_index("formone-{}", _formone),
@@ -241,7 +244,7 @@ _ELLIPSOID_ROWS = (
 
 def _sphere_dm(ctx: _Context, i: int):
     # the presentation is Phi = I - M, so D(M) = -D(Phi)
-    return -ctx.ex.derivations[i].apply_to_matrix(ctx.pres.phi)
+    return -connection_matrix(ctx.pres, ctx.ex.derivations[i])
 
 
 def _d3m_sign(ctx: _Context):

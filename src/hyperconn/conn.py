@@ -6,11 +6,17 @@ delta sends v to D_delta(v) + delta(Phi)*v, its curvature for a pair is the
 commutator [delta(Phi), eta(Phi)], and the traces over the module and its
 complement are tr(Phi*C) and tr(Psi*C), Psi = I - Phi (an idempotent cycles
 out of a trace). All comparisons are exact zero tests in the quotient ring.
+
+Each delta(Phi) is formed once per presentation: connection_matrix keeps it
+in a memo on the presentation, keyed by the derivation. The memo cannot go
+stale. The presentation is frozen, a Derivation is immutable and hashed and
+compared by its ring and generator images, so equal derivations share one
+entry, and dataclasses.replace starts a new presentation with an empty memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .matring import MatrixA, commutator, trace_product
 from .deriv import Derivation, bracket
@@ -30,6 +36,10 @@ class ProjectivePresentation:
     phi: MatrixA
     psi: MatrixA  # I - Phi, the complement
     kernel_generator: tuple | None
+    # delta -> delta(Phi), filled by connection_matrix; left out of ==, hash and repr
+    _connection_matrices: dict = field(
+        init=False, default_factory=dict, compare=False, repr=False
+    )
 
     def __repr__(self) -> str:
         return f"ProjectivePresentation(n={self.n} over {self.ring!r})"
@@ -77,19 +87,28 @@ def _operator(delta: Derivation, matrix: MatrixA):
     return operator
 
 
-def _connection_operator(p: ProjectivePresentation, delta: Derivation):
-    """The connection operator A_delta: v -> D_delta(v) + delta(Phi)*v."""
+def connection_matrix(p: ProjectivePresentation, delta: Derivation) -> MatrixA:
+    """delta(Phi), the matrix part of the connection operator A_delta.
+
+    Formed on first use and kept on the presentation (see the module
+    docstring for why the memo cannot go stale).
+    """
     if delta.ring != p.ring:
         raise ValueError("derivation belongs to a different ring")
-    return _operator(delta, delta.apply_to_matrix(p.phi))
+    memo = p._connection_matrices
+    dphi = memo.get(delta)  # one lookup: a Derivation hashes all its images
+    if dphi is None:
+        dphi = memo[delta] = delta.apply_to_matrix(p.phi)
+    return dphi
 
 
 def connection_apply(p: ProjectivePresentation, delta: Derivation, vector):
-    """Apply the connection operator for delta to a coordinate vector."""
+    """Apply the connection operator A_delta: v -> D_delta(v) + delta(Phi)*v
+    to a coordinate vector."""
     vec = tuple(p.ring.element(v) for v in vector)
     if len(vec) != p.n:
         raise ValueError(f"vector length {len(vec)} does not match rank {p.n}")
-    return _connection_operator(p, delta)(vec)
+    return _operator(delta, connection_matrix(p, delta))(vec)
 
 
 def curvature_matrix(p: ProjectivePresentation, delta: Derivation, eta: Derivation) -> MatrixA:
@@ -98,9 +117,7 @@ def curvature_matrix(p: ProjectivePresentation, delta: Derivation, eta: Derivati
     When the presentation carries a kernel generator k, the result is
     checked to annihilate k; for tangent derivations this always holds.
     """
-    if delta.ring != p.ring or eta.ring != p.ring:
-        raise ValueError("derivation belongs to a different ring")
-    c = commutator(delta.apply_to_matrix(p.phi), eta.apply_to_matrix(p.phi))
+    c = commutator(connection_matrix(p, delta), connection_matrix(p, eta))
     if p.kernel_generator is not None:
         image = c.mul_vector(p.kernel_generator)
         if any(not v.is_zero for v in image):
@@ -177,15 +194,14 @@ def operator_commutator_matrix(
     A_delta(X v) - X A_delta(v) is the A-linear map delta(X) + [delta(Phi), X].
     """
     _require_endomorphism(p, potential)
-    if delta.ring != p.ring:
-        raise ValueError("derivation belongs to a different ring")
-    return delta.apply_to_matrix(potential) + commutator(delta.apply_to_matrix(p.phi), potential)
+    dphi = connection_matrix(p, delta)
+    return delta.apply_to_matrix(potential) + commutator(dphi, potential)
 
 
 def _preserves_module(p: ProjectivePresentation, x: MatrixA) -> bool:
-    left = p.phi * x
-    right = x * p.phi
-    return left == right and p.phi * right == right
+    # Phi*X*Phi = X*Phi = Phi*X holds exactly when Phi*X = X*Phi: that gives
+    # Phi*X*Phi = Phi*Phi*X = Phi*X, since Phi*Phi = Phi.
+    return commutator(p.phi, x).is_zero
 
 
 def modified_curvature(
@@ -218,7 +234,7 @@ def modified_curvature(
 
     # the shifted operators A_d + phi_d = D_d + (d(Phi) + phi_d)
     sop_delta, sop_eta, sop_bracket = (
-        _operator(d, d.apply_to_matrix(p.phi) + x)
+        _operator(d, connection_matrix(p, d) + x)
         for d, x in ((delta, phi_delta), (eta, phi_eta), (bracket_delta_eta, phi_bracket))
     )
     basis = MatrixA.identity(p.ring, p.n)

@@ -1,9 +1,11 @@
 """Matrix algebra over a hypersurface quotient ring.
 
-Each product entry, and trace_product's tr(a*b) (read off the diagonal
-pairs without forming a*b), is one sum of products reduced once by
-QuotientRing.dot. Determinants and characteristic polynomials use cofactor
-expansion, which is exact and ample for the small matrices that occur here.
+Each product entry, each commutator entry (the n products of a*b and the
+n negated products of b*a, which can cancel before the reduction), and
+trace_product's tr(a*b) (read off the diagonal pairs without forming a*b)
+is one sum of products reduced once by QuotientRing.dot. Determinants and
+characteristic polynomials use cofactor expansion, which is exact and ample
+for the small matrices that occur here.
 """
 
 from __future__ import annotations
@@ -403,10 +405,18 @@ def trace_product(a: MatrixA, b: MatrixA) -> RingElement:
 
 
 def commutator(a: MatrixA, b: MatrixA) -> MatrixA:
-    """The matrix commutator a*b - b*a."""
+    """The matrix commutator a*b - b*a; entry (i, j) is the sum of
+    a[i][k]*b[k][j] and -b[i][k]*a[k][j] over k, reduced once."""
     if not isinstance(a, MatrixA) or not isinstance(b, MatrixA):
         raise TypeError("commutator needs two matrices")
     if not a.is_square or not b.is_square:
         raise ValueError("commutator requires square matrices")
     a._require_same_shape(b)
-    return a * b - b * a
+    n = a.rows
+    x = [e.rep for e in a.entries]
+    y = [e.rep for e in b.entries]
+    minus_y = [-e for e in y]
+    out = [a.ring.dot([(x[i * n + k], y[k * n + j]) for k in range(n)]
+                      + [(minus_y[i * n + k], x[k * n + j]) for k in range(n)])
+           for i in range(n) for j in range(n)]
+    return MatrixA(a.ring, n, n, out)

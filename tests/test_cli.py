@@ -25,6 +25,7 @@ from hyperconn.cli import (
     main,
     run_verification,
 )
+from hyperconn.deriv import Derivation
 from hyperconn.matring import MatrixA
 from hyperconn.polycore import MAX_EXPONENT, MAX_POWER_TERMS, parse
 from hyperconn.quotient import QuotientRing
@@ -280,9 +281,10 @@ def test_report_list_checks_covers_report_names():
 @pytest.mark.parametrize("example, triple", [("ellipsoid", (2, 3, 4)), ("sphere", (1, 1, 1))])
 def test_verification_shares_curvature_work(monkeypatch, example, triple):
     # rows and the curvature block share one curvature report per pair, the
-    # nonflat row reads Phi*C*Phi off its report, and a report forms only the
-    # commutator and Phi*C (its traces are taken without forming a product)
-    limit = {"ellipsoid": 11, "sphere": 13}[example]
+    # nonflat row reads Phi*C*Phi off its report, a report forms only Phi*C
+    # (its traces are taken without forming a product), and a commutator is
+    # one sum of products per entry rather than two matrix products
+    limit = {"ellipsoid": 5, "sphere": 7}[example]
     calls = []
     original = MatrixA.__mul__
 
@@ -293,6 +295,25 @@ def test_verification_shares_curvature_work(monkeypatch, example, triple):
     monkeypatch.setattr(MatrixA, "__mul__", counting_mul)
     run_verification(example, *triple)
     assert len(calls) <= limit
+
+
+@pytest.mark.parametrize(
+    "example, triple",
+    [("ellipsoid", (2, 3, 4)), ("sphere", (1, 1, 1)), ("sphere", (2, 1, 1))],
+)
+def test_verification_differentiates_phi_once_per_derivation(monkeypatch, example, triple):
+    # the golden, connection and curvature rows share each delta(Phi) through
+    # the presentation's memo, so a verify applies each derivation to Phi once
+    calls = []
+    original = Derivation.apply_to_matrix
+
+    def counting_apply(self, m):
+        calls.append(1)
+        return original(self, m)
+
+    monkeypatch.setattr(Derivation, "apply_to_matrix", counting_apply)
+    run_verification(example, *triple)
+    assert len(calls) == 3
 
 
 def test_report_requires_flag():

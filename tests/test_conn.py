@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations, product
 from random import Random
 
@@ -17,9 +18,11 @@ from hyperconn import (
     build_sphere_line_bundle,
     commutator,
     connection_apply,
+    connection_matrix,
     curvature_matrix,
     curvature_report,
     deviation_report,
+    koszul_derivations,
     make_presentation,
     modified_curvature,
     operator_commutator_matrix,
@@ -202,6 +205,26 @@ def test_modified_curvature_rejects_bad_potential():
         modified_curvature(pres, d1, d2, br, off, ident, ident)
 
 
+def test_modified_curvature_rejects_one_sided_potentials():
+    # Psi*Y*Phi maps the module into the complement and Phi*Y*Psi maps the
+    # complement into the module; neither commutes with Phi, Phi*Y*Phi does
+    ex = build_ellipsoid_cotangent(2, 2, 2)
+    pres = ex.presentation
+    d1, d2, _ = ex.derivations
+    br = bracket(d1, d2)
+    zero = MatrixA.zero(ex.ring, 3)
+    y = random_matrix(Random(61203), ex.ring, 3, max_degree=1)
+    phi, psi = pres.phi, pres.psi
+    for potential in (psi * y * phi, phi * y * psi):
+        assert not potential.is_zero
+        for slot in range(3):
+            potentials = [zero, zero, zero]
+            potentials[slot] = potential
+            with pytest.raises(PresentationError):
+                modified_curvature(pres, d1, d2, br, *potentials)
+    modified_curvature(pres, d1, d2, br, phi * y * phi, zero, zero)
+
+
 def test_modified_curvature_rejects_wrong_bracket():
     ex = build_ellipsoid_cotangent(2, 2, 2)
     pres = ex.presentation
@@ -223,6 +246,34 @@ def test_modified_curvature_zero_potential_matches_plain():
     assert phi * modified * phi == phi * plain * phi
     # with zero potential the two operators agree on the whole of A^n
     assert modified == plain
+
+
+def test_connection_matrices_are_memoised_by_value():
+    ex = build_ellipsoid_cotangent(2, 3, 4)
+    pres = make_presentation(ex.ring, ex.presentation.phi, ex.dFvec)
+    assert pres._connection_matrices == {}
+    # rebuilt Koszul fields are equal to the example's derivations, not the same objects
+    for delta, twin in zip(ex.derivations, koszul_derivations(ex.ring)):
+        assert delta == twin and delta is not twin
+        stored = connection_matrix(pres, delta)
+        assert connection_matrix(pres, twin) is stored
+        assert stored == delta.apply_to_matrix(pres.phi)
+    assert len(pres._connection_matrices) == 3
+    with pytest.raises(ValueError):
+        connection_matrix(pres, GENS[0])
+
+
+def test_presentation_equality_ignores_the_memo():
+    ex = build_ellipsoid_cotangent(2, 2, 3)
+    pres = make_presentation(ex.ring, ex.presentation.phi, ex.dFvec)
+    fresh = make_presentation(ex.ring, ex.presentation.phi, ex.dFvec)
+    connection_matrix(pres, ex.derivations[0])
+    assert pres == fresh and hash(pres) == hash(fresh)
+    assert repr(pres) == repr(fresh)
+    copy = replace(pres)
+    assert copy == pres and copy._connection_matrices == {}
+    connection_matrix(copy, ex.derivations[1])
+    assert list(pres._connection_matrices) == [ex.derivations[0]]
 
 
 def test_deviation_report():

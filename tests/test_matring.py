@@ -91,6 +91,21 @@ def test_trace_product_is_trace_of_product():
         trace_product(MatrixA.identity(SPHERE, 2), MatrixA.identity(other, 2))
 
 
+@pytest.mark.parametrize(
+    "ring", [SPHERE, QuotientRing(parse("x^3+2*y^2*z-z^4+x*y-1"))], ids=["sphere", "quartic"]
+)
+def test_commutator_matches_two_products(ring):
+    # the one-pass commutator against the plain expression a*b - b*a
+    rng = Random(40917)
+    for n in (1, 2, 3):
+        for _ in range(10):
+            a = random_matrix(rng, ring, n)
+            b = random_matrix(rng, ring, n)
+            assert commutator(a, b) == a * b - b * a
+            assert commutator(a, a).is_zero
+            assert commutator(b, a) == -commutator(a, b)
+
+
 def test_commutator_requires_square_same_shape():
     a = MatrixA.zero(SPHERE, 2, 3)
     with pytest.raises(ValueError):

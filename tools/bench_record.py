@@ -10,7 +10,9 @@ BENCH_<LABEL>.json: the commit, Python version and CPU count once, and per
 workload every run (seed, attempted, failed, the five end-to-end metrics)
 with the median and quartiles of each metric over the runs so far. A file
 holds the runs of one commit only; a run of another commit, or one that
-leaves uncommitted changes to tracked files, is refused.
+leaves uncommitted changes to tracked files, is refused. LABEL is letters,
+digits, "_" and "-"; SEED is an integer in ASCII digits with an optional
+leading "-". Other arguments exit with status 2 before anything runs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -41,11 +44,22 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def parse_arguments(argv):
+    """(label, workload, seed), or None when the arguments are malformed."""
+    if len(argv) != 3:
+        return None
+    label, workload, seed = argv
+    if not re.fullmatch(r"[A-Za-z0-9_-]+", label) or not re.fullmatch(r"-?[0-9]+", seed):
+        return None
+    return label, workload, int(seed)
+
+
 def main(argv) -> int:
-    if len(argv) != 3 or not argv[2].lstrip("-").isdigit():
+    arguments = parse_arguments(argv)
+    if arguments is None:
         print("usage: bench_record.py LABEL WORKLOAD SEED", file=sys.stderr)
         return 2
-    label, workload, seed = argv[0], argv[1], int(argv[2])
+    label, workload, seed = arguments
     commit = git("rev-parse", "HEAD")
     if git("status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)BENCH_*.json"):
         print("error: tracked files differ from the commit; commit them first", file=sys.stderr)
