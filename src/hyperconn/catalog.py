@@ -16,13 +16,17 @@ are verbatim transcriptions of the distributed displays, including two
 known misprints; "-corrected" ids carry the value consistent with direct
 computation, confirmed independently with a second computer algebra
 system. The "trace-*-image" ids are likewise second-system-confirmed
-values, stored as data with the printed counterparts kept alongside.
+values, stored as data with the printed counterparts kept alongside. The
+sphere's displays and traces cover (1, 1, 1) only; they are one table,
+built the first time a process reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from types import MappingProxyType
 
 from .polycore import GaussianRational, Polynomial
 from .quotient import QuotientRing, RingElement
@@ -247,7 +251,12 @@ def _ellipsoid_expected(check_id: str, p: int, q: int, r: int):
     raise KeyError(f"unknown check id {check_id!r} for example 'ellipsoid'")
 
 
-def _sphere_displays(ring: QuotientRing) -> dict[str, MatrixA]:
+@cache
+def _sphere_displays() -> MappingProxyType:
+    """Every sphere display id with its value; the displays cover only
+    (p, q, r) = (1, 1, 1), the ring of x^2 + y^2 + z^2 - 1. Built once per
+    process: the values are immutable and depend on no argument."""
+    ring = _fermat_ring(2, 2, 2)
     half = Fraction(1, 2)
     halfi = GaussianRational(0, half)
     d1m = MatrixA.from_rows(
@@ -325,7 +334,8 @@ def _sphere_displays(ring: QuotientRing) -> dict[str, MatrixA]:
             ],
         ],
     )
-    return {
+    minus_i = GaussianRational(0, -1)
+    return MappingProxyType({
         "d1M": d1m,
         "d2M": d2m,
         "d3M-printed": d3m_printed,
@@ -335,56 +345,33 @@ def _sphere_displays(ring: QuotientRing) -> dict[str, MatrixA]:
         "R13-corrected": -r13_printed,
         "R23-printed": r23_printed,
         "R23-corrected": -r23_typo_fixed,
-    }
+        "trace-12-printed": ring.element(_poly((minus_i, 1, 0, 0))),
+        "trace-13-printed": ring.element(_poly((minus_i, 0, 1, 0))),
+        "trace-23-printed": ring.element(_poly((minus_i, 0, 0, 1))),
+        "trace-12-image": ring.element(_poly((-halfi, 1, 0, 0))),
+        "trace-13-image": ring.element(_poly((halfi, 0, 1, 0))),
+        "trace-23-image": ring.element(_poly((halfi, 0, 0, 1))),
+    })
 
 
 def _sphere_expected(check_id: str, p: int, q: int, r: int):
-    ring = _fermat_ring(2 * p, 2 * q, 2 * r)
     if check_id in ("P-printed", "P-corrected"):
         # the printed (2,1) entry reads y^p - i*z^r; the corrected one,
         # y^q - i*z^r, squares to the identity
         y = p if check_id == "P-printed" else q
         return MatrixA.from_rows(
-            ring,
+            _fermat_ring(2 * p, 2 * q, 2 * r),
             [
                 [_poly((1, p, 0, 0)), _poly((1, 0, q, 0), (_I, 0, 0, r))],
                 [_poly((1, 0, y, 0), (-_I, 0, 0, r)), _poly((-1, p, 0, 0))],
             ],
         )
-    display_ids = {
-        "d1M",
-        "d2M",
-        "d3M-printed",
-        "d3M-corrected",
-        "R12",
-        "R13-printed",
-        "R13-corrected",
-        "R23-printed",
-        "R23-corrected",
-        "trace-12-printed",
-        "trace-13-printed",
-        "trace-23-printed",
-        "trace-12-image",
-        "trace-13-image",
-        "trace-23-image",
-    }
-    if check_id not in display_ids:
+    displays = _sphere_displays()
+    if check_id not in displays:
         raise KeyError(f"unknown check id {check_id!r} for example 'sphere'")
     if (p, q, r) != (1, 1, 1):
         raise ValueError(f"no display is given for parameters {(p, q, r)}; only (1, 1, 1)")
-    if check_id.startswith("trace-"):
-        minus_i = GaussianRational(0, -1)
-        half_i = GaussianRational(0, Fraction(1, 2))
-        values = {
-            "trace-12-printed": _poly((minus_i, 1, 0, 0)),
-            "trace-13-printed": _poly((minus_i, 0, 1, 0)),
-            "trace-23-printed": _poly((minus_i, 0, 0, 1)),
-            "trace-12-image": _poly((-half_i, 1, 0, 0)),
-            "trace-13-image": _poly((half_i, 0, 1, 0)),
-            "trace-23-image": _poly((half_i, 0, 0, 1)),
-        }
-        return ring.element(values[check_id])
-    return _sphere_displays(ring)[check_id]
+    return displays[check_id]
 
 
 def reference_expected(example_id: str, check_id: str, p: int, q: int, r: int):

@@ -34,7 +34,7 @@ from math import comb
 from . import catalog
 from .conn import connection_apply, connection_matrix, curvature_report, deviation_report
 from .deriv import bracket
-from .polycore import ParseError, _coefficient_bits, parse
+from .polycore import MAX_EXPONENT, ParseError, _coefficient_bits, parse
 from .quotient import QuotientRing
 
 _GOLDEN_TRIPLE = (1, 1, 1)
@@ -386,6 +386,9 @@ def _require_parameters(example: str, p: int, q: int, r: int):
         raise UsageError(
             f"example {example!r} requires p, q, r >= {minimum}, got {(p, q, r)}"
         )
+    if max(p, q, r) > MAX_EXPONENT:
+        # evaluating x^p at a point takes p products; the parser's cap bounds them
+        raise UsageError(f"p, q, r must be <= {MAX_EXPONENT}, got {(p, q, r)}")
 
 
 def _tally_text(tally: dict) -> str:
@@ -484,8 +487,6 @@ def cmd_eval(args) -> int:
     tokens = args.tokens
     if len(tokens) == 3 and tokens[1] == "mod":
         expr_text, modulus_text = tokens[0], tokens[2]
-    elif len(tokens) == 2:
-        expr_text, modulus_text = tokens
     else:
         raise UsageError('eval expects: EXPR mod MODULUS (e.g. eval "x^2" mod "x^2-1")')
     try:

@@ -23,7 +23,7 @@ class TangencyError(ValueError):
 class Derivation:
     """A derivation of the quotient ring, stored by generator images."""
 
-    __slots__ = ("ring", "images")
+    __slots__ = ("ring", "images", "_hash")
 
     def __init__(self, ring: QuotientRing, images, *, _checked: bool = False):
         images = tuple(ring.element(v) for v in images)
@@ -31,6 +31,7 @@ class Derivation:
             raise ValueError(f"expected {ring.arity} generator images, got {len(images)}")
         self.ring = ring
         self.images = images
+        self._hash = None
         if not _checked:
             defect = self.modulus_image()
             if not defect.is_zero:
@@ -75,7 +76,10 @@ class Derivation:
         return self.ring == other.ring and self.images == other.images
 
     def __hash__(self):
-        return hash((self.ring, self.images))
+        # computed on first use: hashing the images walks every term
+        if self._hash is None:
+            self._hash = hash((self.ring, self.images))
+        return self._hash
 
     def __add__(self, other):
         if not isinstance(other, Derivation):

@@ -3,9 +3,10 @@
 Each product entry, each commutator entry (the n products of a*b and the
 n negated products of b*a, which can cancel before the reduction), and
 trace_product's tr(a*b) (read off the diagonal pairs without forming a*b)
-is one sum of products reduced once by QuotientRing.dot. Determinants and
-characteristic polynomials use cofactor expansion, which is exact and ample
-for the small matrices that occur here.
+is one sum of products reduced once by QuotientRing.dot. Characteristic
+polynomials use cofactor expansion over polynomials in t, and a
+determinant is the same expansion of the constant grid; it is exact and
+ample for the small matrices that occur here.
 """
 
 from __future__ import annotations
@@ -188,8 +189,8 @@ class MatrixA:
             raise ValueError("determinant requires a square matrix")
         if self.rows > _COFACTOR_LIMIT:
             raise ValueError(f"cofactor expansion is limited to n <= {_COFACTOR_LIMIT}")
-        grid = [list(self.row(i)) for i in range(self.rows)]
-        return _det_cofactor(self.ring, grid)
+        grid = [[[e] for e in self.row(i)] for i in range(self.rows)]
+        return _det_cofactor_tpoly(self.ring, grid)[0]
 
     def char_poly(self) -> "CharPoly":
         """Coefficients of det(tI - self), degree n first; always monic."""
@@ -228,22 +229,6 @@ class MatrixA:
 
     def __repr__(self) -> str:
         return f"MatrixA({self.rows}x{self.cols} over {self.ring!r})"
-
-
-def _det_cofactor(ring: QuotientRing, grid) -> RingElement:
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    total = ring.zero()
-    sign = 1
-    for j in range(n):
-        pivot = grid[0][j]
-        if not pivot.is_zero:
-            minor = [[row[k] for k in range(n) if k != j] for row in grid[1:]]
-            term = pivot * _det_cofactor(ring, minor)
-            total = total + term if sign > 0 else total - term
-        sign = -sign
-    return total
 
 
 def _tpoly_mul(ring: QuotientRing, a, b):

@@ -150,13 +150,7 @@ class GaussianRational:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = GaussianRational.ONE
-        base = self
-        for _ in range(exponent):
-            result = result * base
-        return result
+        return _power(GaussianRational.ONE, self, exponent)
 
     def __str__(self) -> str:
         negative, body = _term_text(self, "")
@@ -164,6 +158,17 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re}, {self.im})"
+
+
+def _power(one, base, exponent: int):
+    """one * base * ... * base, exponent factors of base multiplied in one
+    at a time; the parser's pair budget counts exactly these products."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    result = one
+    for _ in range(exponent):
+        result = result * base
+    return result
 
 
 _new = object.__new__
@@ -418,12 +423,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(self.names, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return _power(Polynomial.constant(self.names, 1), self, exponent)
 
     def partial_derivative(self, index: int) -> "Polynomial":
         if not 0 <= index < self.arity:

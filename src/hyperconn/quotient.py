@@ -13,6 +13,7 @@ from .polycore import (
     GaussianRational,
     Polynomial,
     _add_terms,
+    _power,
     divide_remainder,
     parse,
 )
@@ -179,12 +180,7 @@ class RingElement:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = self.ring.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return _power(self.ring.one(), self, exponent)
 
     def evaluate(self, point) -> GaussianRational:
         """Value at an on-surface point; well defined on residue classes."""

@@ -249,6 +249,13 @@ def test_reference_expected_errors():
         reference_expected("torus", "M", 2, 2, 2)
     with pytest.raises(ValueError):
         reference_expected("sphere", "R12", 2, 1, 1)
+    for tag in ("12", "13", "23"):
+        for kind in ("printed", "image"):
+            with pytest.raises(ValueError):
+                reference_expected("sphere", f"trace-{tag}-{kind}", 2, 1, 1)
+    # an unknown id is reported before the parameters are
+    with pytest.raises(KeyError):
+        reference_expected("sphere", "no-such-check", 2, 1, 1)
     with pytest.raises(ValueError):
         reference_expected("ellipsoid", "M", 1, 2, 2)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hyperconn import cli
+from hyperconn import catalog, cli, conn
 from hyperconn.cli import (
     ELLIPSOID_CHECKS,
     MAX_EVAL_WORK,
@@ -28,7 +29,7 @@ from hyperconn.cli import (
 from hyperconn.deriv import Derivation
 from hyperconn.matring import MatrixA
 from hyperconn.polycore import MAX_EXPONENT, MAX_POWER_TERMS, parse
-from hyperconn.quotient import QuotientRing
+from hyperconn.quotient import QuotientRing, RingElement
 from helpers import child_env, run_cli
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
@@ -314,6 +315,145 @@ def test_verification_differentiates_phi_once_per_derivation(monkeypatch, exampl
     monkeypatch.setattr(Derivation, "apply_to_matrix", counting_apply)
     run_verification(example, *triple)
     assert len(calls) == 3
+
+
+def test_sphere_reference_table_is_built_once(monkeypatch):
+    # the nine displays and six traces of the sphere are one table, built the
+    # first time a process reads it; a repeat verify reduces nothing to look up
+    calls = {"nf": 0, "reference": 0}
+    original_nf = QuotientRing.nf
+    original_expected = catalog.reference_expected
+
+    def counting_nf(self, p):
+        calls["nf"] += 1
+        return original_nf(self, p)
+
+    def expected(*args):
+        before = calls["nf"]
+        value = original_expected(*args)
+        calls["reference"] += calls["nf"] - before
+        return value
+
+    monkeypatch.setattr(QuotientRing, "nf", counting_nf)
+    monkeypatch.setattr(catalog, "reference_expected", expected)
+    catalog._sphere_displays.cache_clear()
+    counts = []
+    for example, triple in [("sphere", (1, 1, 1))] * 2 + [("ellipsoid", (2, 3, 4))]:
+        calls.update(nf=0, reference=0)
+        run_verification(example, *triple)
+        counts.append((calls["nf"], calls["reference"]))
+    assert catalog._sphere_displays.cache_info().misses == 1
+    assert counts[0][0] <= 124  # 208 when each lookup rebuilt every display
+    assert counts[1] == (90, 0)
+    assert counts[2][0] == 278
+
+
+@pytest.mark.parametrize(
+    "arguments, code",
+    [
+        (("ellipsoid", "--p", "1001", "--q", "2", "--r", "3"), 2),
+        (("ellipsoid", "--p", "1000000000", "--q", "2", "--r", "3"), 2),
+        (("sphere", "--p", "1000000000", "--q", "1", "--r", "1"), 2),
+        (("sphere", "--p", "1000", "--q", "1", "--r", "1"), 0),
+    ],
+)
+def test_verify_parameter_bound(arguments, code):
+    # evaluating x^p at the base point takes p products, so p, q and r are
+    # capped at the parser's exponent limit before anything is built
+    result = run_cli("verify", *arguments, timeout=30)
+    assert result.returncode == code
+    if code == 2:
+        assert result.stdout == ""
+        assert result.stderr == f"error: p, q, r must be <= {MAX_EXPONENT}, got " + (
+            "(" + ", ".join(arguments[2::2]) + ")\n"
+        )
+
+
+@pytest.mark.parametrize("tokens", [("x", "mod"), ("x^3", "x^2-1"), ("x",)])
+def test_eval_requires_the_mod_keyword(capsys, tokens):
+    assert main(["eval", *tokens]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        'error: eval expects: EXPR mod MODULUS (e.g. eval "x^2" mod "x^2-1")\n'
+    )
+
+
+def _perturbed_reference(monkeypatch):
+    """Make every reference value the catalog hands the cli off by one."""
+    original = catalog.reference_expected
+
+    def perturbed(*args):
+        value = original(*args)
+        if isinstance(value, MatrixA):
+            return value + MatrixA.identity(value.ring, value.rows)
+        assert isinstance(value, RingElement)
+        return value + 1
+
+    monkeypatch.setattr(catalog, "reference_expected", perturbed)
+
+
+def _rows(report) -> dict:
+    return {c.name: (c.status, c.witness) for c in report.checks}
+
+
+def test_ellipsoid_rows_fail_against_wrong_references(monkeypatch, capsys):
+    _perturbed_reference(monkeypatch)
+    ex = catalog.build_ellipsoid_cotangent(2, 3, 4)
+    d = ex.derivations
+    identity = MatrixA.identity(ex.ring, 3)
+    rows = _rows(run_verification("ellipsoid", 2, 3, 4))
+    # _match_status: computed - (expected + I) = -I
+    assert rows["d1M-golden"] == ("fail", f"difference {-identity}")
+    # _vector_status: applied - (scalar + 1)*dF = -dF
+    minus_dfvec = "(" + ", ".join(str(-v) for v in ex.dFvec) + ")"
+    assert rows["formone-1"] == ("fail", minus_dfvec)
+    assert rows["nested-12"] == ("fail", minus_dfvec)
+    # _zero_status: [d1, d2] - (scalar + 1)*d3 = -d3
+    assert rows["bracket-12"] == ("fail", str(-d[2]))
+    assert rows["idempotent"] == ("pass", "0")
+    assert main(["verify", "ellipsoid", "--p", "2", "--q", "3", "--r", "4"]) == 1
+    captured = capsys.readouterr()
+    assert "  d1M-golden" in captured.out and "witness: difference" in captured.out
+    assert captured.err == ""
+
+
+def test_sphere_rows_fail_against_wrong_references(monkeypatch, capsys):
+    _perturbed_reference(monkeypatch)
+    report = run_verification("sphere", 1, 1, 1)
+    rows = _rows(report)
+    status, witness = rows["d3M-sign"]
+    assert status == "fail" and witness.startswith("difference ")
+    assert rows["d1M-golden"][0] == "fail"
+    computed = report.curvature[0]["trace_kernel"]
+    expected = catalog.reference_expected("sphere", "trace-12-image", 1, 1, 1)
+    assert rows["trace-image-12"] == ("fail", f"computed {computed}, expected {expected}")
+    assert rows["trace-normalization"] == (
+        "fail", "no constant relation between traces for pair 12"
+    )
+    assert main(["verify", "sphere", "--p", "1", "--q", "1", "--r", "1", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["summary"]["fail"] == 8
+    assert captured.err == ""
+
+
+def test_rank_and_flatness_rows_fail(monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "deviation_report", lambda pres, point: conn.DeviationReport(3, 3, 0)
+    )
+
+    def flat_report(pres, delta, eta, *labels):
+        report = conn.curvature_report(pres, delta, eta, *labels)
+        return dataclasses.replace(report, induced=MatrixA.zero(pres.ring, pres.n))
+
+    monkeypatch.setattr(cli, "curvature_report", flat_report)
+    rows = _rows(run_verification("ellipsoid", 2, 3, 4))
+    assert rows["deviation"] == ("fail", "ambient 3, rank 3, deviation 0")
+    assert rows["nonflat-12"] == ("fail", "0")
+    assert main(["verify", "ellipsoid", "--p", "2", "--q", "3", "--r", "4"]) == 1
+    captured = capsys.readouterr()
+    assert "witness: ambient 3, rank 3, deviation 0" in captured.out
+    assert captured.err == ""
 
 
 def test_report_requires_flag():

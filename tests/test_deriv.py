@@ -8,6 +8,7 @@ import pytest
 
 from hyperconn import (
     Derivation,
+    Polynomial,
     QuotientRing,
     TangencyError,
     bracket,
@@ -125,3 +126,22 @@ def test_str_rendering():
     assert str(D1) == "y*d/dx + (-x)*d/dy"
     zero = D1 - D1
     assert str(zero) == "0"
+
+
+def test_hash_is_computed_once_and_by_value(monkeypatch):
+    calls = []
+    original = Polynomial.__hash__
+
+    def counting_hash(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(Polynomial, "__hash__", counting_hash)
+    delta = Derivation(SPHERE, ("y", "-x", "0"))
+    first = hash(delta)
+    walked = len(calls)
+    assert walked > 0
+    assert hash(delta) == first and len(calls) == walked
+    # equal derivations built apart hash alike, and equality is unchanged
+    assert hash(D1) == first and D1 == delta
+    assert {delta: 1}[D1] == 1

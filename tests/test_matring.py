@@ -114,6 +114,9 @@ def test_commutator_requires_square_same_shape():
 
 def test_determinant_multiplicative():
     rng = Random(71225)
+    for _ in range(4):
+        a = random_matrix(rng, SPHERE, 1)
+        assert a.determinant() == a.entry(0, 0)
     for _ in range(15):
         a = random_matrix(rng, SPHERE, 2)
         b = random_matrix(rng, SPHERE, 2)
@@ -121,6 +124,10 @@ def test_determinant_multiplicative():
     for _ in range(6):
         a = random_matrix(rng, SPHERE, 3, max_degree=1, max_terms=1)
         b = random_matrix(rng, SPHERE, 3, max_degree=1, max_terms=1)
+        assert (a * b).determinant() == a.determinant() * b.determinant()
+    for _ in range(3):
+        a = random_matrix(rng, SPHERE, 4, max_degree=1, max_terms=1)
+        b = random_matrix(rng, SPHERE, 4, max_degree=1, max_terms=1)
         assert (a * b).determinant() == a.determinant() * b.determinant()
 
 

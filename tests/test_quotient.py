@@ -113,6 +113,19 @@ def test_element_pow():
     assert (SPHERE.element("x^2+y^2+z^2")) ** 5 == SPHERE.one()
 
 
+@pytest.mark.parametrize(
+    "base",
+    [GaussianRational(2, 1), parse("x+i*y"), SPHERE.element("x+y")],
+    ids=["gaussian", "polynomial", "element"],
+)
+def test_power_rejects_negative_and_fractional_exponents(base):
+    # the three power operators share one loop and its exponent check
+    for exponent in (-1, 1.5):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            base ** exponent
+    assert base ** 1 == base
+
+
 def test_nf_module_function():
     value = SPHERE.nf(parse("x^4"))
     assert value == SPHERE.element("x^4")
