@@ -34,7 +34,7 @@ from math import comb
 from . import catalog
 from .conn import connection_apply, connection_matrix, curvature_report, deviation_report
 from .deriv import bracket
-from .polycore import MAX_EXPONENT, ParseError, _coefficient_bits, parse
+from .polycore import MAX_EXPONENT, ParseError, _coefficient_bits, _lowest_terms, parse
 from .quotient import QuotientRing
 
 _GOLDEN_TRIPLE = (1, 1, 1)
@@ -516,8 +516,9 @@ def cmd_eval(args) -> int:
         # printing an int of more digits than this limit raises ValueError;
         # any other ValueError is a bug and stays one
         limit = sys.get_int_max_str_digits()
-        printed = (q for c in result.terms.values() for q in (c.re, c.im))
-        if not limit or max(max(abs(q.numerator), q.denominator) for q in printed) < 10**limit:
+        printed = (k for c in result.terms.values() for n in (c._a, c._b)
+                   for k in _lowest_terms(n, c._d))
+        if not limit or max(map(abs, printed)) < 10**limit:
             raise
         raise UsageError(f"the result has a coefficient of more than {limit} digits, "
                          "the interpreter's limit for printing an integer") from None

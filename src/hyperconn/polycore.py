@@ -1,12 +1,13 @@
 """Exact sparse multivariate polynomial arithmetic over the Gaussian rationals.
 
 Coefficients are elements (a + b*i)/d of Q(i) held as three integers in
-lowest terms; Fractions appear only where values enter or leave (the
-constructor and the re/im parts). A polynomial product lifts both operands
-to integer numerators over a common denominator and normalises each output
-coefficient once. Polynomials are sparse maps from monomials, which are
-plain exponent tuples, to nonzero coefficients, so equality is equality of
-term maps. A graded reverse lexicographic order fixes leading terms and makes division
+lowest terms; Fractions appear only where values enter or leave as numbers
+(the constructor and the re/im parts), and text is printed from the three
+integers. A polynomial product lifts both operands to integer numerators
+over a common denominator and normalises each output coefficient once.
+Polynomials are sparse maps from monomials, which are plain exponent tuples,
+to nonzero coefficients, so equality is equality of term maps. A graded
+reverse lexicographic order fixes leading terms and makes division
 remainders canonical. A small recursive-descent parser round-trips the
 canonical text form.
 """
@@ -153,11 +154,10 @@ class GaussianRational:
         return _power(GaussianRational.ONE, self, exponent)
 
     def __str__(self) -> str:
-        negative, body = _term_text(self, "")
-        return "-" + body if negative else body
+        return _term_text(self, "").removeprefix("+")
 
     def __repr__(self) -> str:
-        return f"GaussianRational({self.re}, {self.im})"
+        return f"GaussianRational({_ratio_text(self._a, self._d)}, {_ratio_text(self._b, self._d)})"
 
 
 def _power(one, base, exponent: int):
@@ -190,12 +190,6 @@ def _gaussian(a: int, b: int, d: int) -> GaussianRational:
         if g != 1:
             return _exact(a // g, b // g, d // g)
     return _exact(a, b, d)
-
-
-def _signed_imag_text(im: Fraction) -> str:
-    mag = -im if im < 0 else im
-    body = "i" if mag == 1 else f"{mag}*i"
-    return ("-" if im < 0 else "+") + body
 
 
 GaussianRational.ZERO = GaussianRational(0)
@@ -453,14 +447,8 @@ class Polynomial:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        pieces = []
-        for m in sorted(self._terms, key=MonomialOrder().key, reverse=True):
-            negative, body = _term_text(self._terms[m], _monomial_text(m, self.names))
-            if not pieces:
-                pieces.append(("-" if negative else "") + body)
-            else:
-                pieces.append(("-" if negative else "+") + body)
-        return "".join(pieces)
+        return "".join([_term_text(self._terms[m], _monomial_text(m, self.names))
+                        for m in sorted(self._terms, key=_heap_key)]).removeprefix("+")
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
@@ -481,25 +469,35 @@ def _add_terms(result: dict, terms: dict) -> dict:
     return result
 
 
-def _term_text(c: GaussianRational, mtext: str) -> tuple[bool, str]:
-    """Render one term; returns (sign is negative, unsigned body text)."""
-    re, im = c.re, c.im
-    if not im:
-        negative = re < 0
-        mag = -re if negative else re
-        if not mtext:
-            return negative, str(mag)
-        if mag == 1:
-            return negative, mtext
-        return negative, f"{mag}*{mtext}"
-    if not re:
-        negative = im < 0
-        mag = -im if negative else im
-        itext = "i" if mag == 1 else f"{mag}*i"
-        return negative, itext if not mtext else f"{itext}*{mtext}"
-    # mixed coefficients keep their own sign inside parentheses
-    ctext = f"({re}{_signed_imag_text(im)})"
-    return False, ctext if not mtext else f"{ctext}*{mtext}"
+def _lowest_terms(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms as (numerator, denominator); d > 0."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """n/d as str(Fraction(n, d)) prints it; d > 0."""
+    n, d = _lowest_terms(n, d)
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _term_text(c: GaussianRational, mtext: str) -> str:
+    """One term as text, led by its sign "+" or "-"; each part of the
+    coefficient (a + b*i)/d prints as its reduced fraction."""
+    a, b, d = c._a, c._b, c._d
+    if b:
+        sign, b = "-" if b < 0 else "+", abs(b)
+        ctext = "i" if b == d else f"{_ratio_text(b, d)}*i"
+        if a:
+            # mixed coefficients keep their own sign inside parentheses
+            ctext = f"({_ratio_text(a, d)}{sign}{ctext})"
+            sign = "+"
+    else:
+        sign, a = "-" if a < 0 else "+", abs(a)
+        if a == d and mtext:
+            return sign + mtext
+        ctext = _ratio_text(a, d)
+    return sign + ctext if not mtext else f"{sign}{ctext}*{mtext}"
 
 
 def _lift(terms: dict) -> tuple[list, int]:

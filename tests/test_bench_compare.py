@@ -1,0 +1,118 @@
+"""tools/bench_compare.py on synthetic BENCH files: pairing, wins, the gain
+rule in both metric directions, and argument checks."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_compare = _load("bench_compare")
+bench_record = _load("bench_record")
+
+BETTER = {"ops_per_s": "higher", "latency_p50_ms": "lower"}
+
+
+def record(**workloads):
+    """A BENCH record whose workloads hold the given per-run metric lists."""
+    result = {"label": "x", "commit": "0" * 40, "workloads": {}}
+    for workload, metrics in workloads.items():
+        count = len(next(iter(metrics.values())))
+        runs = [{"seed": 101 + k, "attempted": 10, "failed": 0,
+                 "metrics": {name: values[k] for name, values in metrics.items()}}
+                for k in range(count)]
+        result["workloads"][workload] = {
+            "runs": runs,
+            "summary": {name: bench_record.summary(values) for name, values in metrics.items()},
+        }
+    return result
+
+
+def row(table, workload, metric):
+    return next(r for r in table[workload] if r["metric"] == metric)
+
+
+def test_gain_holds_on_nine_wins_and_a_gap_beyond_the_parent_iqr():
+    parent = record(w={"ops_per_s": [100, 101, 102, 103, 104, 100, 101, 102, 103, 104],
+                       "latency_p50_ms": [10.0] * 10})
+    # run 10 loses, so 9 of 10 pairs win; medians 102 -> 110.5 against an IQR of 2
+    change = record(w={"ops_per_s": [110, 111, 112, 113, 114, 108, 109, 110, 111, 99],
+                       "latency_p50_ms": [9.0] * 9 + [10.0]})
+    table = bench_compare.compare(parent, change, BETTER)
+    ops = row(table, "w", "ops_per_s")
+    assert (ops["pairs"], ops["wins"], ops["claim"]) == (10, 9, True)
+    # lower is better: nine runs at 9.0 win, the tie at 10.0 counts for neither
+    latency = row(table, "w", "latency_p50_ms")
+    assert (latency["wins"], latency["claim"]) == (9, True)
+
+
+def test_gain_not_shown_on_eight_wins_or_a_gap_inside_the_iqr():
+    parent = record(w={"ops_per_s": [100, 110, 120, 130, 100, 110, 120, 130, 100, 110],
+                       "latency_p50_ms": [10.0] * 10})
+    # every pair wins by 1, but the median gap of 1 is inside the parent's IQR of 20
+    inside = record(w={"ops_per_s": [101, 111, 121, 131, 101, 111, 121, 131, 101, 111],
+                       "latency_p50_ms": [10.0] * 8 + [9.0, 9.0]})
+    table = bench_compare.compare(parent, inside, BETTER)
+    assert (row(table, "w", "ops_per_s")["wins"], row(table, "w", "ops_per_s")["claim"]) == (
+        10, False)
+    # two wins and eight ties: the medians do not move
+    assert (row(table, "w", "latency_p50_ms")["wins"],
+            row(table, "w", "latency_p50_ms")["claim"]) == (2, False)
+    # eight wins with a large gap is still not nine tenths
+    eight = record(w={"ops_per_s": [200] * 8 + [1, 1], "latency_p50_ms": [1.0] * 10})
+    assert row(bench_compare.compare(parent, eight, BETTER), "w", "ops_per_s")["claim"] is False
+
+
+def test_only_shared_workloads_are_paired_and_rendered():
+    parent = record(a={"ops_per_s": [1, 2], "latency_p50_ms": [5.0, 5.0]},
+                    b={"ops_per_s": [1], "latency_p50_ms": [1.0]})
+    change = record(a={"ops_per_s": [3, 4, 5], "latency_p50_ms": [4.0, 6.0, 4.0]})
+    table = bench_compare.compare(parent, change, BETTER)
+    assert list(table) == ["a"]
+    assert [(r["pairs"], r["wins"]) for r in table["a"]] == [(2, 2), (2, 1)]
+    text = bench_compare.render(table)
+    assert text.startswith("a: parent -> change, median [q1, q3]\n")
+    assert "  ops_per_s " in text and "+166.7%" in text and "wins 2/2" in text
+
+
+def test_main_reads_labels_from_the_root(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_compare, "ROOT", tmp_path)
+    # the five end-to-end metrics of BENCHMARK.json; only ops_per_s and
+    # latency_p50_ms move
+    flat = {"latency_p90_ms": [3.0] * 10, "setup_s": [0.1] * 10, "peak_rss_mb": [18.0] * 10}
+    parent = record(w={"ops_per_s": [100] * 10, "latency_p50_ms": [2.0] * 10, **flat})
+    change = record(w={"ops_per_s": [120] * 10, "latency_p50_ms": [1.0] * 10, **flat})
+    (tmp_path / "BENCH_p.json").write_text(json.dumps(parent))
+    (tmp_path / "BENCH_c-1.json").write_text(json.dumps(change))
+    assert bench_compare.main(["p", "c-1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "w: parent -> change, median [q1, q3]" and len(lines) == 6
+    assert [line.split()[0] for line in lines[1:]] == [
+        "ops_per_s", "latency_p50_ms", "latency_p90_ms", "setup_s", "peak_rss_mb"]
+    assert "+20.0%  wins 10/10  gain holds" in lines[1]
+    assert "-50.0%  wins 10/10  gain holds" in lines[2]
+    assert all("+0.0%  wins 0/10  gain not shown" in line for line in lines[3:])
+
+
+@pytest.mark.parametrize("argv", [[], ["p"], ["p", "c", "x"], ["../p", "c"], ["p", "c.json"]])
+def test_malformed_arguments_exit_2(argv, capsys):
+    assert bench_compare.main(argv) == 2
+    assert capsys.readouterr().err == "usage: bench_compare.py PARENT_LABEL CHANGE_LABEL\n"
+
+
+def test_missing_file_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench_compare, "ROOT", tmp_path)
+    assert bench_compare.main(["p", "c"]) == 2
+    assert capsys.readouterr().err == "error: BENCH_p.json does not exist\n"

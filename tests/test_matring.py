@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 from hyperconn import (
     CharPoly,
+    GaussianRational,
     MatrixA,
     QuotientRing,
     commutator,
@@ -174,6 +176,32 @@ def test_char_poly_multiplication():
     assert product.degree == 3
     assert isinstance(product, CharPoly)
     assert product.coefficient(3) == SPHERE.one()
+
+
+def test_scalar_times_matrix():
+    m = MatrixA.from_rows(SPHERE, [["x", "y"], ["z", "1"]])
+    assert 2 * m == MatrixA.from_rows(SPHERE, [["2*x", "2*y"], ["2*z", "2"]])
+    assert GaussianRational(0, Fraction(1, 3)) * m == MatrixA.from_rows(
+        SPHERE, [["i*x/3", "i*y/3"], ["i*z/3", "i/3"]]
+    )
+    # x*x reduces to 1 - y^2 - z^2 on the sphere
+    assert SPHERE.element("x") * m == MatrixA.from_rows(
+        SPHERE, [["1-y^2-z^2", "x*y"], ["x*z", "x"]]
+    )
+
+
+def test_char_poly_hash_follows_equality():
+    # three matrices with characteristic polynomial t^2 - 2t + 1, and one other
+    one = SPHERE.one()
+    same = [
+        MatrixA.identity(SPHERE, 2).char_poly(),
+        MatrixA.from_rows(SPHERE, [["1", "x"], ["0", "1"]]).char_poly(),
+        CharPoly(SPHERE, [one, SPHERE.element(-2), one]),
+    ]
+    other = MatrixA.from_rows(SPHERE, [["x", "0"], ["0", "1"]]).char_poly()
+    assert len({hash(cp) for cp in same}) == 1
+    assert {*same, other} == {same[0], other} and len({*same, other}) == 2
+    assert {cp: k for k, cp in enumerate(same)} == {same[0]: 2}
 
 
 def test_rank_at_point():

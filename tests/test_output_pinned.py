@@ -59,6 +59,13 @@ PINNED = [
         ["eval", "(x-i*y+z/2)^18", "mod", "x^3+y^4+z^5-1"],
         "896aa591cb69b454403616aba185fa892e53547e3f7fc920ce34faa257e701fd",
     ),
+    (
+        # every coefficient shape: 3/2*i, (-1/3-i), (1-3/2*i), -i and i, 1 and
+        # -3 beside a monomial, denominators 4, 7 and 9, and a constant term
+        ["eval", "3/2*i*x^3+(-1/3-i)*y^3+5/7*z-i*x*y+x*z^2-2/5+4*y+y*z+i*y^2-3*z^2"
+         "+(2/9+7/4*i)*x", "mod", "x^2+y^2+z^2-1"],
+        "105404b080304cf3198c77945297e3525ef628f50425715d05c700371c3f9bad",
+    ),
 ]
 
 

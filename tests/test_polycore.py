@@ -20,7 +20,7 @@ from hyperconn import (
     divide_remainder,
     parse,
 )
-from hyperconn.polycore import MAX_EXPONENT, MAX_NESTING, _heap_key, _term_text
+from hyperconn.polycore import MAX_EXPONENT, MAX_NESTING, _heap_key
 from helpers import NAMES, nonzero_gaussian, nonzero_polynomial, random_gaussian, random_polynomial
 
 # Deterministic and bounded, so the property tests run the same examples
@@ -85,6 +85,42 @@ def rescan_divide_remainder(p, f):
         else:
             remainder[m] = c
     return Polynomial(p.names, quotient), Polynomial(p.names, remainder)
+
+
+def fraction_term_text(re: Fraction, im: Fraction, mtext: str) -> tuple[bool, str]:
+    """Reference term printer on Fraction parts: (sign is negative, unsigned body).
+
+    This is the printer GaussianRational used before it printed from its
+    integer fields; it stays here only to check that printer against it.
+    """
+    if not im:
+        negative = re < 0
+        mag = -re if negative else re
+        if not mtext:
+            return negative, str(mag)
+        if mag == 1:
+            return negative, mtext
+        return negative, f"{mag}*{mtext}"
+    if not re:
+        negative = im < 0
+        mag = -im if negative else im
+        itext = "i" if mag == 1 else f"{mag}*i"
+        return negative, itext if not mtext else f"{itext}*{mtext}"
+    mag = -im if im < 0 else im
+    itext = ("-" if im < 0 else "+") + ("i" if mag == 1 else f"{mag}*i")
+    ctext = f"({re}{itext})"
+    return False, ctext if not mtext else f"{ctext}*{mtext}"
+
+
+def fraction_str(p) -> str:
+    """Reference polynomial printer: terms in descending MonomialOrder().key
+    order, each through fraction_term_text."""
+    pieces = []
+    for m in sorted(p.terms, key=MonomialOrder().key, reverse=True):
+        mtext = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(p.names, m) if e)
+        negative, body = fraction_term_text(p.terms[m].re, p.terms[m].im, mtext)
+        pieces.append(("-" if negative else "+" if pieces else "") + body)
+    return "".join(pieces) or "0"
 
 
 class FractionGaussian:
@@ -158,7 +194,7 @@ class FractionGaussian:
         return FractionGaussian(other) / self
 
     def __str__(self):
-        negative, body = _term_text(self, "")
+        negative, body = fraction_term_text(self.re, self.im, "")
         return "-" + body if negative else body
 
     def __repr__(self):
@@ -310,6 +346,46 @@ def test_gaussian_kernel_mixed_operands_match_reference(x, n):
         assert hash(z) == hash(n)
 
 
+# parts that hit every printer branch: zero, magnitude 1, integers, small
+# fractions with non-unit denominators, and 4,000-digit numerators and
+# denominators (below the interpreter's 4,300-digit limit for printing an int)
+LONG = 10**4000
+printable_parts = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(2, 12)),
+    st.builds(Fraction, st.integers(-LONG, LONG), st.integers(1, LONG)),
+)
+
+
+@PROPERTY
+@given(printable_parts, printable_parts)
+@example(0, 0)
+@example(-1, 0)
+@example(0, Fraction(3, 2))
+@example(Fraction(-1, 3), -1)
+@example(1, Fraction(-3, 2))
+@example(Fraction(LONG - 1, 7), Fraction(-1, LONG - 1))
+@example(Fraction(2 * LONG, LONG + 1), LONG)  # shares no factor with 2*LONG
+def test_printer_matches_fraction_reference(re, im):
+    z = GaussianRational(re, im)
+    negative, body = fraction_term_text(Fraction(re), Fraction(im), "")
+    assert str(z) == ("-" if negative else "") + body
+    assert repr(z) == f"GaussianRational({Fraction(re)}, {Fraction(im)})"
+    # the same coefficient in front of a monomial, and beside another term
+    for terms in ({(2, 0, 1): z}, {(0, 1, 0): z, (1, 0, 0): GaussianRational(-1)}):
+        p = Polynomial(NAMES, terms)
+        assert str(p) == fraction_str(p)
+
+
+@PROPERTY
+@given(mixed_polynomials)
+@example(parse("z^3+x*y*z+y^3+x^3+x^2*z+1-i*x+y/7"))
+def test_polynomial_printer_matches_fraction_reference(p):
+    # same text, so the same terms in descending MonomialOrder().key order
+    assert str(p) == fraction_str(p)
+
+
 def test_gaussian_accepts_only_int_and_fraction():
     for bad in (1.5, "1", None, complex(1, 1)):
         with pytest.raises(TypeError):
@@ -355,6 +431,14 @@ def test_polynomial_construction_drops_zeros():
     assert p.degree() == 1
     assert Polynomial(NAMES).is_zero
     assert Polynomial(NAMES).degree() == -1
+
+
+def test_multiplying_by_a_zero_scalar():
+    p = parse("x^2-i*y/3+1")
+    for zero in (0, Fraction(0), GaussianRational(0)):
+        for product in (p * zero, zero * p):
+            assert product == p - p
+            assert product.is_zero and product.names == NAMES and str(product) == "0"
 
 
 def test_polynomial_ring_axioms_random():

@@ -106,6 +106,16 @@ def test_dot_matches_per_sum_loop(ring, pairs, cancel):
     assert str(got) == str(want)
 
 
+def test_scalar_minus_element():
+    # 1 - (x^2 + y) = (x^2 + y^2 + z^2) - x^2 - y on the sphere
+    assert 1 - SPHERE.element("x^2+y") == SPHERE.element("y^2+z^2-y")
+    # i/2 - x^3*y, reduced by hand: x^3*y = x*y - x*y^3 - x*y*z^2
+    assert GaussianRational(0, Fraction(1, 2)) - SPHERE.element("x^3*y") == SPHERE.element(
+        "i/2-x*y+x*y^3+x*y*z^2"
+    )
+    assert str(Fraction(3, 4) - SPHERE.element("z")) == "-z+3/4"
+
+
 def test_element_pow():
     x = SPHERE.element("x")
     assert x ** 4 == x * x * x * x

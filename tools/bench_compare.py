@@ -1,0 +1,100 @@
+"""Compare two benchmark records, run by run.
+
+Usage (from anywhere):
+
+    python3 tools/bench_compare.py PARENT_LABEL CHANGE_LABEL
+
+Reads BENCH_<PARENT_LABEL>.json and BENCH_<CHANGE_LABEL>.json at the
+repository root, as tools/bench_record.py writes them, and prints one block
+per workload that both hold. For each end-to-end metric BENCHMARK.json
+lists, a line gives each side's median and quartiles, the relative change of
+the median, the wins of the change, and whether a gain may be claimed. Run k
+of the change is paired with run k of the parent, and it wins when its value
+is better in the direction BENCHMARK.json gives; ties count for neither. A
+gain may be claimed when the change wins at least nine tenths of the pairs
+and its median is better than the parent's by more than the parent's
+interquartile range. LABEL is letters, digits, "_" and "-"; other arguments
+or a missing file exit with status 2.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
+
+
+def compare(parent: dict, change: dict, better: dict) -> dict:
+    """{workload: [row per metric]} for the workloads both records hold.
+
+    better maps each metric name to "higher" or "lower"; a row holds the
+    metric, both summaries, the pair count, the wins and the claim verdict.
+    """
+    table = {}
+    for workload, base in parent["workloads"].items():
+        if workload not in change["workloads"]:
+            continue
+        new = change["workloads"][workload]
+        pairs = list(zip(base["runs"], new["runs"]))
+        rows = []
+        for metric, direction in better.items():
+            sign = 1 if direction == "higher" else -1
+            old, now = base["summary"][metric], new["summary"][metric]
+            wins = sum(sign * (b["metrics"][metric] - a["metrics"][metric]) > 0
+                       for a, b in pairs)
+            gap = sign * (now["median"] - old["median"])
+            rows.append({
+                "metric": metric,
+                "parent": old,
+                "change": now,
+                "pairs": len(pairs),
+                "wins": wins,
+                "claim": bool(pairs) and 10 * wins >= 9 * len(pairs)
+                and gap > old["q3"] - old["q1"],
+            })
+        table[workload] = rows
+    return table
+
+
+def _spread(s: dict) -> str:
+    return f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]"
+
+
+def render(table: dict) -> str:
+    lines = []
+    for workload, rows in table.items():
+        lines.append(f"{workload}: parent -> change, median [q1, q3]")
+        for row in rows:
+            old, now = row["parent"]["median"], row["change"]["median"]
+            delta = f"{100 * (now - old) / old:+.1f}%" if old else "n/a"
+            lines.append(
+                f"  {row['metric']:<15} {_spread(row['parent']):>28} -> "
+                f"{_spread(row['change']):<28} {delta:>7}  wins {row['wins']}/{row['pairs']}"
+                f"  gain {'holds' if row['claim'] else 'not shown'}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def main(argv) -> int:
+    if len(argv) != 2 or not all(re.fullmatch(r"[A-Za-z0-9_-]+", a) for a in argv):
+        print("usage: bench_compare.py PARENT_LABEL CHANGE_LABEL", file=sys.stderr)
+        return 2
+    records = []
+    for label in argv:
+        path = ROOT / f"BENCH_{label}.json"
+        if not path.is_file():
+            print(f"error: {path.name} does not exist", file=sys.stderr)
+            return 2
+        records.append(json.loads(path.read_text()))
+    spec = json.loads(BENCHMARK.read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    sys.stdout.write(render(compare(*records, better)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
