@@ -3,13 +3,13 @@
 Coefficients are elements (a + b*i)/d of Q(i) held as three integers in
 lowest terms; Fractions appear only where values enter or leave as numbers
 (the constructor and the re/im parts), and text is printed from the three
-integers. A polynomial product lifts both operands to integer numerators
-over a common denominator and normalises each output coefficient once.
-Polynomials are sparse maps from monomials, which are plain exponent tuples,
-to nonzero coefficients, so equality is equality of term maps. A graded
-reverse lexicographic order fixes leading terms and makes division
-remainders canonical. A small recursive-descent parser round-trips the
-canonical text form.
+integers. A polynomial product, and a power by the multinomial theorem,
+lift their operands to integer numerators over a common denominator and
+normalise each output coefficient once. Polynomials are sparse maps from
+monomials, which are plain exponent tuples, to nonzero coefficients, so
+equality is equality of term maps. A graded reverse lexicographic order
+fixes leading terms and makes division remainders canonical. A small
+recursive-descent parser round-trips the canonical text form.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class GaussianRational:
 
 def _power(one, base, exponent: int):
     """one * base * ... * base, exponent factors of base multiplied in one
-    at a time; the parser's pair budget counts exactly these products."""
+    at a time, so a power in a quotient ring is reduced after every product."""
     if not isinstance(exponent, int) or exponent < 0:
         raise ValueError("exponent must be a non-negative integer")
     result = one
@@ -417,7 +417,40 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        return _power(Polynomial.constant(self.names, 1), self, exponent)
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        if not self._terms:
+            return Polynomial.constant(self.names, 0**exponent)
+        if len(self._terms) == 1:  # one composition, c^e at e*m: no table of powers
+            ((m, c),) = self._terms.items()
+            return Polynomial._raw(self.names, {tuple(exponent * x for x in m): c**exponent})
+        # The multinomial theorem over integer numerators: with the base lifted
+        # to (a_j + b_j*i)/d, a stack visits each composition k_1+...+k_t = e
+        # once, depth first, as (term j, exponent left, C(e; k_1..k_(j-1)),
+        # numerator, monomial) and adds e!/(k_1!...k_t!) * prod (a_j + b_j*i)^k_j.
+        base, d = _lift(self._terms)
+        m, a, b = base.pop()  # the last term takes the exponent that is left
+        one = (0,) * self.arity
+        powers = [(one, 1, 0)]  # powers[k]: (k*m, numerator of (a + b*i)^k)
+        for _ in range(exponent):
+            mk, re, im = powers[-1]
+            powers.append((tuple(map(add, mk, m)), re * a - im * b, re * b + im * a))
+        result, stack = {}, [(0, exponent, 1, 1, 0, one)]
+        while stack:
+            j, left, factor, re, im, m = stack.pop()
+            if left and j < len(base):
+                mj, a, b = base[j]
+                for k in range(left + 1):
+                    stack.append((j + 1, left - k, factor, re, im, m))
+                    factor = factor * (left - k) // (k + 1)
+                    re, im, m = re * a - im * b, re * b + im * a, tuple(map(add, m, mj))
+                continue
+            mk, a, b = powers[left]
+            acc = result.get(m := tuple(map(add, m, mk)), (0, 0))
+            result[m] = (acc[0] + factor * (re * a - im * b), acc[1] + factor * (re * b + im * a))
+        d **= exponent
+        return Polynomial._raw(self.names, {m: _gaussian(re, im, d)
+                                            for m, (re, im) in result.items() if re or im})
 
     def partial_derivative(self, index: int) -> "Polynomial":
         if not 0 <= index < self.arity:
@@ -580,7 +613,9 @@ _DIGITS = frozenset("0123456789")
 # (x+y+z)^42 (946 terms) passes, (x+y+z)^44 (1035 terms) does not.
 # MAX_PARSE_PAIRS caps the term products of one parse, counted before each
 # runs: |L|*|R| per product (|L| per division by a constant) and at most
-# t*C(e+t-1, t) per power, the pairs of multiplying by the base e times.
+# t*C(e+t-1, t) per power, the pairs of multiplying by the base e times. A
+# power expands by the multinomial theorem instead, one step for each of its
+# C(e+t-1, t-1) compositions, so its charge is a loose upper bound.
 # A pair costs about 1.1 us with small integer coefficients and 1.7 us with
 # dense Gaussian rationals (2-core x86-64 host, Python 3.11), so a parse
 # stays well within a second; (x+y+z)^42 spends 39,732 pairs, and

@@ -408,6 +408,30 @@ def test_integer_product_matches_pairwise_reference(p, q):
     assert all(canonical(c) for c in product.terms.values())
 
 
+def repeated_product(p, e):
+    """Reference power: p * ... * p, e factors, each by the pairwise product."""
+    result = Polynomial.constant(p.names, 1)
+    for _ in range(e):
+        result = pairwise_mul(result, p)
+    return result
+
+
+@PROPERTY
+@given(mixed_polynomials, st.integers(0, 6))
+@example(parse("1+x+x^2"), 6)  # monomials collide: x^2 is both 1*x^2 and x*x
+@example(parse("1+2*x-2*x^2"), 2)  # and cancel: 2*1*(-2)*x^2 + (2*x)^2 = 0
+@example(parse("x/2+i*y/3-1/2*i+(1/3-2/5*i)*z"), 5)
+@example(parse("(1+i)*x+(1-i)*y"), 4)
+@example(parse("3/2*x^2*y"), 5)
+@example(Polynomial(NAMES), 0)  # 0^0 == 1
+@example(Polynomial(NAMES), 4)
+@example(parse("x+y"), 0)
+def test_power_matches_repeated_product(p, e):
+    power = p**e
+    assert power == repeated_product(p, e)
+    assert all(c and canonical(c) for c in power.terms.values())
+
+
 def test_polynomial_rejects_invalid_monomials():
     # a negative exponent, the wrong number of exponents, a non-integer exponent
     for exps in [(1, -1, 0), (1, 0), (1.5, 0, 0)]:
@@ -585,6 +609,21 @@ def test_parse_errors_carry_position():
         parse("x/0")
 
 
+def test_multi_character_names_and_constant_comparisons():
+    # names longer than one character are read whole, never split
+    assert parse("x1*x2", names=("x1", "x2")) == Polynomial(("x1", "x2"), {(1, 1): 1})
+    with pytest.raises(ParseError, match="unknown variable 'xy'") as err:
+        parse("xy")
+    assert err.value.position == 0
+    # a polynomial equals a number exactly when it is that constant
+    assert parse("6/2") == 3 and parse("3*x^0") == 3
+    assert parse("x") != 3 and parse("3+i") != 3 and Polynomial(NAMES) == 0
+    # a ring element is true exactly when its normal form is nonzero
+    ring = QuotientRing(parse("x^2+y^2+z^2-1"))
+    assert not ring.nf(parse("x^2+y^2+z^2-1")) and not ring.zero()
+    assert ring.nf(parse("x^2")) and ring.one()
+
+
 def test_parse_rejects_reserved_names():
     with pytest.raises(ValueError):
         parse("a+b", names=("a", "i"))
@@ -622,6 +661,9 @@ def test_parse_power_term_bound():
         parse("((x+y+z)^2)^20")
     assert parse("0^1000").is_zero
     assert parse("(2*x)^1000") == Polynomial(NAMES, {(1000, 0, 0): 2**1000})
+    # a legal 861-term base to the first power: a composition per term
+    nested = parse("((x+y+z)^40)^1")
+    assert len(nested.terms) == 861 and nested == parse("(x+y+z)^40")
 
 
 def test_parse_pair_budget():
@@ -638,6 +680,14 @@ def test_parse_pair_budget():
     # and so do divisions by a constant, |L| pairs each
     with pytest.raises(ParseError, match="term products"):
         parse("(x+y+z)^20" + "/2" * 500)
+    # (x+2)^e spends 2*C(e+1, 2) = e*(e+1) pairs: 99,540 at e = 315, 100,172
+    # at e = 316, although the expansion has only e+1 compositions
+    power = parse("(x+2)^315")
+    assert len(power.terms) == 316
+    assert power.terms[(1, 0, 0)] == 315 * 2**314
+    with pytest.raises(ParseError, match="term products") as err:
+        parse("(x+2)^316")
+    assert err.value.position == 6
 
 
 def test_parse_pair_budget_weighs_coefficient_size():

@@ -125,11 +125,12 @@ def test_element_pow():
 
 @pytest.mark.parametrize(
     "base",
-    [GaussianRational(2, 1), parse("x+i*y"), SPHERE.element("x+y")],
-    ids=["gaussian", "polynomial", "element"],
+    [GaussianRational(2, 1), parse("x+i*y"), parse("3*x"), parse("0"), SPHERE.element("x+y")],
+    ids=["gaussian", "polynomial", "monomial", "zero", "element"],
 )
 def test_power_rejects_negative_and_fractional_exponents(base):
-    # the three power operators share one loop and its exponent check
+    # a polynomial checks its exponent before it expands the power; a
+    # coefficient and a ring element, in the product loop they share
     for exponent in (-1, 1.5):
         with pytest.raises(ValueError, match="non-negative integer"):
             base ** exponent
