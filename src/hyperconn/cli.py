@@ -391,6 +391,11 @@ def _require_parameters(example: str, p: int, q: int, r: int):
         raise UsageError(f"p, q, r must be <= {MAX_EXPONENT}, got {(p, q, r)}")
 
 
+def _require_parallel(n: int):
+    if n < 1:
+        raise UsageError("--parallel must be a positive integer")
+
+
 def _tally_text(tally: dict) -> str:
     return f"{tally['pass']} pass, {tally['fail']} fail, {tally['discrepancy']} discrepancy"
 
@@ -422,6 +427,7 @@ def _render_verification(report: VerificationReport, timings: bool) -> str:
 
 def cmd_verify(args) -> int:
     _require_parameters(args.example, args.p, args.q, args.r)
+    _require_parallel(args.parallel)
     report = run_verification(args.example, args.p, args.q, args.r)
     if args.json:
         sys.stdout.write(json.dumps(report.to_json(args.timings), indent=2) + "\n")
@@ -443,8 +449,7 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--max must be >= {minimum} for example {example!r}")
     if args.max > MAX_SWEEP:
         raise UsageError(f"--max must be <= {MAX_SWEEP}")
-    if args.parallel < 1:
-        raise UsageError("--parallel must be a positive integer")
+    _require_parallel(args.parallel)
     triples = product(range(minimum, args.max + 1), repeat=3)
     tasks = [(example, p, q, r, args.timings) for p, q, r in triples]
     # the pool starts every worker up front, so never more than can run at once

@@ -243,7 +243,7 @@ def modified_curvature(
         e = basis.column(j)
         triples = zip(sop_delta(sop_eta(e)), sop_eta(sop_delta(e)), sop_bracket(e))
         columns.append([a - b - c for a, b, c in triples])
-    direct = MatrixA.from_columns(p.ring, columns)
+    direct = MatrixA.from_rows(p.ring, zip(*columns))
 
     assembled = (
         curvature_matrix(p, delta, eta)

@@ -61,18 +61,6 @@ class MatrixA:
         z = ring.zero()
         return cls(ring, rows, cols, [z] * (rows * cols))
 
-    @classmethod
-    def from_columns(cls, ring: QuotientRing, columns) -> "MatrixA":
-        cols = [[ring.element(v) for v in col] for col in columns]
-        if not cols:
-            raise ValueError("matrix needs at least one column")
-        height = len(cols[0])
-        if any(len(col) != height for col in cols):
-            raise ValueError("columns must all have the same length")
-        return cls(
-            ring, height, len(cols), [cols[j][i] for i in range(height) for j in range(len(cols))]
-        )
-
     def entry(self, i: int, j: int) -> RingElement:
         return self.entries[i * self.cols + j]
 
@@ -167,14 +155,6 @@ class MatrixA:
             raise ValueError(f"vector length {len(vec)} does not match {self.cols} columns")
         return tuple(self.ring.dot((a.rep, v.rep) for a, v in zip(self.row(i), vec))
                      for i in range(self.rows))
-
-    def transpose(self) -> "MatrixA":
-        return MatrixA(
-            self.ring,
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
 
     def trace(self) -> RingElement:
         if not self.is_square:
@@ -271,8 +251,6 @@ def _det_cofactor_tpoly(ring: QuotientRing, grid):
 
 
 def _rank_gauss(grid) -> int:
-    if not grid:
-        return 0
     rows, cols = len(grid), len(grid[0])
     rank = 0
     pivot_row = 0
@@ -365,8 +343,6 @@ class CharPoly:
                 t = "t" if k == 1 else f"t^{k}"
                 body = t if c == self.ring.one() else f"{_wrap(str(c))}*{t}"
             pieces.append(body)
-        if not pieces:
-            return "0"
         return " + ".join(pieces)
 
     def __repr__(self) -> str:

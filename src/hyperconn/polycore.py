@@ -66,9 +66,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self
 
-    def conjugate(self) -> "GaussianRational":
-        return _gaussian(self._a, -self._b, self._d)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
             return self._a == other._a and self._b == other._b and self._d == other._d

@@ -37,10 +37,8 @@ class QuotientRing:
 
     def nf(self, p: Polynomial) -> "RingElement":
         """Canonical normal form of p as an element of the quotient."""
-        if p.names != self.names:
-            raise ValueError(f"variable mismatch: {p.names} vs {self.names}")
         _, remainder = divide_remainder(p, self.modulus)
-        return RingElement(self, remainder, _reduced=True)
+        return RingElement(self, remainder)
 
     def dot(self, pairs) -> "RingElement":
         """Normal form of the sum of a*b over polynomial pairs, reduced once."""
@@ -60,31 +58,24 @@ class QuotientRing:
         if isinstance(value, Polynomial):
             return self.nf(value)
         if isinstance(value, (int, Fraction, GaussianRational)):
-            return RingElement(self, Polynomial.constant(self.names, value), _reduced=True)
+            return RingElement(self, Polynomial.constant(self.names, value))
         raise TypeError(f"cannot coerce {type(value).__name__} into the ring")
 
     def zero(self) -> "RingElement":
-        return RingElement(self, Polynomial.zero(self.names), _reduced=True)
+        return RingElement(self, Polynomial.zero(self.names))
 
     def one(self) -> "RingElement":
-        return RingElement(self, Polynomial.constant(self.names, 1), _reduced=True)
+        return RingElement(self, Polynomial.constant(self.names, 1))
 
     def variable(self, index: int) -> "RingElement":
         return self.nf(Polynomial.variable(self.names, index))
 
-    def coerce_point(self, point) -> tuple[GaussianRational, ...]:
+    def require_point_on_surface(self, point) -> tuple[GaussianRational, ...]:
         values = tuple(
             v if isinstance(v, GaussianRational) else GaussianRational(v) for v in point
         )
         if len(values) != self.arity:
             raise ValueError(f"point length {len(values)} does not match arity {self.arity}")
-        return values
-
-    def point_on_surface(self, point) -> bool:
-        return not self.modulus.evaluate(self.coerce_point(point))
-
-    def require_point_on_surface(self, point) -> tuple[GaussianRational, ...]:
-        values = self.coerce_point(point)
         residual = self.modulus.evaluate(values)
         if residual:
             raise ValueError(f"point is not on the hypersurface: f(point) = {residual}")
@@ -105,15 +96,12 @@ class QuotientRing:
 
 
 class RingElement:
-    """A residue class, stored as its canonical reduced representative."""
+    """A residue class, stored as its canonical reduced representative. rep
+    must be a normal form; QuotientRing.element and nf make one from any polynomial."""
 
     __slots__ = ("ring", "rep")
 
-    def __init__(self, ring: QuotientRing, rep: Polynomial, *, _reduced: bool = False):
-        if rep.names != ring.names:
-            raise ValueError(f"variable mismatch: {rep.names} vs {ring.names}")
-        if not _reduced:
-            _, rep = divide_remainder(rep, ring.modulus)
+    def __init__(self, ring: QuotientRing, rep: Polynomial):
         self.ring = ring
         self.rep = rep
 
@@ -130,9 +118,7 @@ class RingElement:
                 raise ValueError("elements belong to different rings")
             return other
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return RingElement(
-                self.ring, Polynomial.constant(self.ring.names, other), _reduced=True
-            )
+            return RingElement(self.ring, Polynomial.constant(self.ring.names, other))
         return None
 
     def __eq__(self, other) -> bool:
@@ -149,7 +135,7 @@ class RingElement:
         if other is None:
             return NotImplemented
         # sums of reduced representatives are reduced
-        return RingElement(self.ring, self.rep + other.rep, _reduced=True)
+        return RingElement(self.ring, self.rep + other.rep)
 
     __radd__ = __add__
 
@@ -157,7 +143,7 @@ class RingElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RingElement(self.ring, self.rep - other.rep, _reduced=True)
+        return RingElement(self.ring, self.rep - other.rep)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -166,11 +152,11 @@ class RingElement:
         return other - self
 
     def __neg__(self):
-        return RingElement(self.ring, -self.rep, _reduced=True)
+        return RingElement(self.ring, -self.rep)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return RingElement(self.ring, self.rep * other, _reduced=True)
+            return RingElement(self.ring, self.rep * other)
         if isinstance(other, RingElement):
             if other.ring != self.ring:
                 raise ValueError("elements belong to different rings")
@@ -186,9 +172,6 @@ class RingElement:
         """Value at an on-surface point; well defined on residue classes."""
         values = self.ring.require_point_on_surface(point)
         return self.rep.evaluate(values)
-
-    def serialize(self) -> dict:
-        return {"element": str(self.rep), "modulus": str(self.ring.modulus)}
 
     def __str__(self) -> str:
         return str(self.rep)

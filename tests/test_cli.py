@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,13 @@ def test_verify_usage_errors_exit_2():
     assert result.returncode == 2
     result = run_cli("verify", "ellipsoid", "--p", "2", "--q", "2")
     assert result.returncode == 2
+    # verify and sweep refuse --parallel below 1 through one check
+    for command in (("verify", "ellipsoid", "--p", "2", "--q", "2", "--r", "2"),
+                    ("sweep", "ellipsoid", "--max", "2")):
+        result = run_cli(*command, "--parallel", "-3")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: --parallel must be a positive integer\n"
 
 
 def test_sweep_counts_and_determinism():
@@ -437,6 +445,32 @@ def test_sphere_rows_fail_against_wrong_references(monkeypatch, capsys):
     assert captured.err == ""
 
 
+def test_sphere_sign_and_normalization_rows_pass(monkeypatch, capsys):
+    # the bundled displays carry a sign and a factor misprint; with the
+    # corrected D3(M) and the computed traces as references both rows pass
+    ex = catalog.build_sphere_line_bundle(1, 1, 1)
+    d = ex.derivations
+    original = catalog.reference_expected
+
+    def matching(example, check_id, *params):
+        if check_id == "d3M-printed":
+            return original(example, "d3M-corrected", *params)
+        if check_id.startswith("trace-") and check_id.endswith("-printed"):
+            i, j = int(check_id[6]) - 1, int(check_id[7]) - 1
+            return conn.curvature_report(ex.presentation, d[i], d[j], "D", "D").trace_kernel
+        return original(example, check_id, *params)
+
+    monkeypatch.setattr(catalog, "reference_expected", matching)
+    rows = _rows(run_verification("sphere", 1, 1, 1))
+    corrected = original("sphere", "d3M-corrected", 1, 1, 1)
+    assert rows["d3M-sign"] == ("pass", str(corrected))
+    assert rows["trace-normalization"] == ("pass", "reference traces match computed traces")
+    assert main(["verify", "sphere", "--p", "1", "--q", "1", "--r", "1", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["summary"] == {"pass": 14, "fail": 0, "discrepancy": 0}
+    assert captured.err == ""
+
+
 def test_rank_and_flatness_rows_fail(monkeypatch, capsys):
     monkeypatch.setattr(
         cli, "deviation_report", lambda pres, point: conn.DeviationReport(3, 3, 0)
@@ -461,16 +495,20 @@ def test_report_requires_flag():
     assert result.returncode == 2
 
 
-def test_timings_flag_adds_seconds():
-    result = run_cli(
-        "verify", "sphere", "--p", "2", "--q", "2", "--r", "2", "--json", "--timings"
-    )
-    payload = json.loads(result.stdout)
+def test_timings_flag_adds_seconds(capsys):
+    command = ["verify", "sphere", "--p", "2", "--q", "2", "--r", "2"]
+    assert main([*command, "--json", "--timings"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert all("seconds" in check for check in payload["checks"])
     jsonschema.validate(payload, load_schema())
-    bare = run_cli("verify", "sphere", "--p", "2", "--q", "2", "--r", "2", "--json")
-    bare_payload = json.loads(bare.stdout)
+    assert main([*command, "--json"]) == 0
+    bare_payload = json.loads(capsys.readouterr().out)
     assert all("seconds" not in check for check in bare_payload["checks"])
+    # text: each check line ends with its seconds
+    assert main([*command, "--timings"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    check_lines = lines[1 : 1 + len(payload["checks"])]
+    assert all(re.fullmatch(r"  \S+ +pass  \(\d+\.\d{3}s\)", line) for line in check_lines)
 
 
 def test_main_returns_codes_without_exiting():

@@ -50,7 +50,7 @@ def column_operator_commutator(p, delta, potential):
         left = connection_apply(p, delta, potential.column(j))
         right = potential.mul_vector(connection_apply(p, delta, basis))
         columns.append([a - b for a, b in zip(left, right)])
-    return MatrixA.from_columns(p.ring, columns)
+    return MatrixA.from_rows(p.ring, zip(*columns))
 
 
 def _diag_presentation():
