@@ -5,7 +5,9 @@ triples up to a bound of at most MAX_SWEEP, on at most one worker process
 per triple and per CPU), eval (ad-hoc normal-form queries), and report
 --list-checks (the check-name catalog). Reports are emitted as aligned
 text or JSON; both are byte-deterministic unless --timings is requested.
-Output is always plain text, so NO_COLOR needs no special handling.
+Output is always plain text, so NO_COLOR needs no special handling. The
+argument parser is built once per process, at the first main() call, and
+reused, so repeated in-process calls give byte-identical results.
 
 Each example's checks are one ordered table of (name, check) rows; the
 sphere's golden rows run only at (1, 1, 1), and report --list-checks reads
@@ -23,6 +25,7 @@ other exception, reported as one "internal error: ..." line on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -603,8 +606,15 @@ def _guard_eval_operands(argv: list) -> list:
     return argv
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was, and help and usage go to the
+    # sys.stdout and sys.stderr of each call, so one parser serves every main
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(_guard_eval_operands(argv))

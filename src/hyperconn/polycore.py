@@ -609,19 +609,26 @@ _DIGITS = frozenset("0123456789")
 # most C(e+t-1, t-1) terms, and that bound is checked before the power runs:
 # (x+y+z)^42 (946 terms) passes, (x+y+z)^44 (1035 terms) does not.
 # MAX_PARSE_PAIRS caps the term products of one parse, counted before each
-# runs: |L|*|R| per product (|L| per division by a constant) and at most
-# t*C(e+t-1, t) per power, the pairs of multiplying by the base e times. A
-# power expands by the multinomial theorem instead, one step for each of its
-# C(e+t-1, t-1) compositions, so its charge is a loose upper bound.
+# runs: |L|*|R| per product (|L| per division by a constant). A power of a
+# t-term base to the e expands by the multinomial theorem, one step for each
+# of its C(e+t-1, t-1) compositions, and the term of a composition is a
+# product of at most min(t, e) powers of base terms, so the power is charged
+# min(t, e)*C(e+t-1, t-1) pairs; ((x+y+z)^40)^1 makes 861 one-factor steps.
 # A pair costs about 1.1 us with small integer coefficients and 1.7 us with
-# dense Gaussian rationals (2-core x86-64 host, Python 3.11), so a parse
-# stays well within a second; (x+y+z)^42 spends 39,732 pairs, and
-# (x+y+z)^40*(x+y+z)^40, 810,201, is refused. Multiplying b1- and b2-bit
-# integers takes about b1*b2/700,000 us there, so a pair of coefficients
-# whose largest integers have b1 and b2 bits counts 1 + (b1*b2 >> 20)
-# times, and a power to the e counts its base's b as e*b against b: a
+# dense Gaussian rationals (2-core x86-64 host, Python 3.11); (x+y+z)^42
+# spends 2,838 pairs, (x+2)^999 8,000, and (x+y+z)^40*(x+y+z)^40, 746,487,
+# is refused. Multiplying b1- and b2-bit integers takes about
+# b1*b2/700,000 us there, so a pair of coefficients whose largest integers
+# have b1 and b2 bits counts 1 + (b1*b2 >> 20) times. The coefficients of a
+# power reach e*B bits, with B the bit length of the largest numerator part
+# or denominator of the base lifted to one denominator, plus that of t for
+# the multinomial factors; each step multiplies two factors whose lengths add
+# up to at most e*B, so a power's pairs count 1 + ((e*B)^2/4 >> 20) times. A
 # linear form with two 4,000-digit coefficients may be raised to the 5th
-# (88,412 pairs, 0.02 s) but not to the 20th.
+# (about 66,000 pairs, 0.01 s) but not to the 20th, and
+# (4294967295*x+4294967291)^999 (0.25 s) is refused. The dearest parse found
+# under these charges, one power of a Gaussian linear form with 128-bit
+# parts over a denominator, takes 0.9 s.
 MAX_NESTING = 100
 MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 1000
@@ -767,10 +774,13 @@ class _Parser:
             if value > MAX_EXPONENT:
                 raise ParseError(f"exponent {value} exceeds the limit of {MAX_EXPONENT}", pos)
             t = len(base.terms)
-            if comb(value + max(t, 1) - 1, value) > MAX_POWER_TERMS:
+            compositions = comb(value + max(t, 1) - 1, value)  # C(e+t-1, t-1)
+            if compositions > MAX_POWER_TERMS:
                 raise ParseError(f"power may have more than {MAX_POWER_TERMS} terms", pos)
-            bits = _coefficient_bits(base)
-            self.spend(t * comb(value + t - 1, t) if t else 0, value * bits * bits, pos)
+            lifted, d = _lift(base.terms)
+            largest = max([d, *(abs(n) for _, a, b in lifted for n in (a, b))])
+            bits = value * (largest.bit_length() + t.bit_length())
+            self.spend(min(t, value) * compositions, bits * bits >> 2, pos)
             return base**value
         return base
 
@@ -809,7 +819,9 @@ def parse(text: str, names=("x", "y", "z")) -> Polynomial:
     MAX_EXPONENT (1000), on a power whose result may have more than
     MAX_POWER_TERMS (1000) terms, on more than MAX_PARSE_PAIRS (100,000)
     term products in all (a pair of coefficients whose largest integers have
-    b1 and b2 bits counts 1 + b1*b2 // 2**20 times), and on parentheses and
+    b1 and b2 bits counts 1 + b1*b2 // 2**20 times; a power of a t-term base
+    to the e counts min(t, e) pairs for each of its C(e+t-1, t-1) compositions,
+    weighted by the size its coefficients may reach), and on parentheses and
     unary minus signs nested more than MAX_NESTING (100) deep; the CLI
     reports these with exit 2.
     """

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import subprocess
@@ -258,6 +260,40 @@ def test_eval_operands_led_by_minus(capsys):
     assert capsys.readouterr().out == "-x\n"
     assert main(["eval", "-h"]) == 0
     assert capsys.readouterr().out.startswith("usage: hyperconn eval")
+
+
+def test_main_is_reentrant_and_builds_its_parser_once(monkeypatch):
+    # COLUMNS fixes argparse's help width here and in the child processes
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    sequence = (
+        ["verify", "ellipsoid", "--p", "2"],  # usage error, exit 2
+        ["eval", "-h"],
+        ["eval", "-x", "mod", "x^2-1"],
+        ["verify", "sphere", "--p", "1", "--q", "1", "--r", "1", "--json"],
+        ["eval", "(x+2*i*y)^5", "mod", "x^2+y^2+z^2-1"],
+    )
+    codes = []
+    try:
+        for argv in sequence:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                codes.append(main(argv))
+            fresh = run_cli(*argv)
+            assert (codes[-1], out.getvalue(), err.getvalue()) == (
+                fresh.returncode, fresh.stdout, fresh.stderr
+            ), argv
+    finally:
+        cli._parser.cache_clear()
+    assert codes == [2, 0, 0, 0, 0]
+    assert len(built) == 1
 
 
 def test_report_list_checks_covers_report_names():

@@ -663,27 +663,29 @@ def test_parse_power_term_bound():
 
 
 def test_parse_pair_budget():
-    # (x+y+z)^40 spends 3*C(42, 3) = 34,440 pairs and has 861 terms, so a
+    # (x+y+z)^40 spends 3*C(42, 2) = 2,583 pairs and has 861 terms, so a
     # product of two would add 861^2 = 741,321 more
     with pytest.raises(ParseError, match="term products") as err:
         parse("(x+y+z)^40*(x+y+z)^40")
     assert err.value.position == 10
-    # powers share the budget: two (x+y+z)^42 (39,732 pairs each) fit, the
-    # third is refused at its exponent
+    # (x+2)^e spends 2 pairs for each of its e+1 compositions, weighted by the
+    # e*4-bit coefficients it may reach: 8,000 pairs at e = 999, the largest
+    # exponent the term bound lets a two-term base reach
+    power = parse("(x+2)^999")
+    assert len(power.terms) == 1000
+    assert power.terms[(1, 0, 0)] == 999 * 2**998
+    assert parse("(x+2)^316").terms[(316, 0, 0)] == 1
+    with pytest.raises(ParseError, match="more than 1000 terms"):
+        parse("(x+2)^1000")
+    # powers share the budget: twelve (x+2)^999 fit, the thirteenth is
+    # refused at its exponent
+    assert parse("+".join(["(x+2)^999"] * 12)) == power * 12
     with pytest.raises(ParseError, match="term products") as err:
-        parse("+".join(["(x+y+z)^42"] * 3))
-    assert err.value.position == 30
+        parse("+".join(["(x+2)^999"] * 13))
+    assert err.value.position == 126
     # and so do divisions by a constant, |L| pairs each
     with pytest.raises(ParseError, match="term products"):
         parse("(x+y+z)^20" + "/2" * 500)
-    # (x+2)^e spends 2*C(e+1, 2) = e*(e+1) pairs: 99,540 at e = 315, 100,172
-    # at e = 316, although the expansion has only e+1 compositions
-    power = parse("(x+2)^315")
-    assert len(power.terms) == 316
-    assert power.terms[(1, 0, 0)] == 315 * 2**314
-    with pytest.raises(ParseError, match="term products") as err:
-        parse("(x+2)^316")
-    assert err.value.position == 6
 
 
 def test_parse_pair_budget_weighs_coefficient_size():
@@ -692,6 +694,11 @@ def test_parse_pair_budget_weighs_coefficient_size():
     with pytest.raises(ParseError, match="weighted by coefficient size") as err:
         parse(f"({n}*x+{m}*y+z)^20")
     assert err.value.position == 8010
+    # a power's coefficients grow to e times the base's bits: two 32-bit
+    # coefficients to the 999th (about 0.25 s) count each of the 2,000 pairs
+    # 1 + ((999*(32+2))^2/4 >> 20) = 276 times
+    with pytest.raises(ParseError, match="weighted by coefficient size"):
+        parse("(4294967295*x+4294967291)^999")
     # one pair of 4,000-digit literals counts 1 + 13,288^2 >> 20 = 169 pairs
     assert parse(f"{n}*{m}") == Polynomial(NAMES, {(0, 0, 0): int(n) * int(m)})
     with pytest.raises(ParseError, match="weighted by coefficient size"):
