@@ -19,6 +19,7 @@ import pytest
 import hyperconn.cli  # noqa: F401  (imports every module the tracer binds)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = json.loads((PERFBENCH / "workloads.json").read_text())
 
 
 def _load(name):
@@ -28,12 +29,8 @@ def _load(name):
     return module
 
 
-def _load_tracer():
-    return _load("tracer")
-
-
 def test_tracer_installs_and_restores_every_binding():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     modules, classes = tracer._hyperconn_namespaces()
     before = {namespace: dict(vars(namespace)) for namespace in modules + classes}
     installed = tracer.Tracer()
@@ -51,12 +48,11 @@ def test_tracer_installs_and_restores_every_binding():
         assert all(now[name] is value for name, value in snapshot.items()), namespace
 
 
-@pytest.mark.parametrize("name", ["verify-sweep", "eval-power", "dense-shifted"])
+@pytest.mark.parametrize("name", list(WORKLOADS["workloads"]))
 def test_every_listed_layer_records_calls_in_one_traced_cycle(name):
     # the rule perfbench/worker.py's trace() enforces on a traced run
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     workload = _load("workloads").WORKLOADS[name](1)
-    listed = json.loads((PERFBENCH / "workloads.json").read_text())["layers"]
     installed = tracer.Tracer()
     try:
         installed.install()
@@ -65,5 +61,5 @@ def test_every_listed_layer_records_calls_in_one_traced_cycle(name):
     finally:
         installed.uninstall()
     silent = [layer for layer, *_ in tracer.LAYERS
-              if name in listed[layer]["runs_on"] and not installed.stats[layer].calls]
+              if name in WORKLOADS["layers"][layer]["runs_on"] and not installed.stats[layer].calls]
     assert not silent, f"traced layers recorded no calls on {name}: {silent}"
