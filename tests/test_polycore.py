@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 from random import Random
 from time import perf_counter
 
@@ -524,12 +525,18 @@ def test_divide_remainder_leading_term_cancellation():
     assert rem == parse("-y^2-z^2+1")
 
 
+# a Gaussian leading coefficient with a denominator: every step divides by it
+NON_MONIC_F = parse("(2+3*i)/5*x^2-y*z/3+(1-i)/7")
+NON_MONIC_P = parse("x^5+(1/2-i)*x^3*y+x^2*z^2-4*y")
+
+
 @PROPERTY
 @given(polynomials, divisors)
 # y*z is cancelled after x*y is reduced, then x*z creates it again: the
 # heap holds a stale entry for it next to the live one
 @example(parse("x^2-y*z"), parse("x-y-z"))
 @example(parse("(x+y+z)^6"), parse("x^2+y^2+z^2-1"))
+@example(NON_MONIC_P, NON_MONIC_F)
 def test_heap_division_matches_rescan_reference(p, f):
     q, rem = divide_remainder(p, f)
     ref_q, ref_rem = rescan_divide_remainder(p, f)
@@ -540,6 +547,7 @@ def test_heap_division_matches_rescan_reference(p, f):
 
 @PROPERTY
 @given(polynomials, divisors)
+@example(NON_MONIC_P, NON_MONIC_F)
 def test_division_identity_and_reduced_remainder(p, f):
     q, rem = divide_remainder(p, f)
     assert q * f + rem == p
@@ -563,6 +571,77 @@ def test_nf_is_idempotent(p, f):
 def test_heap_key_order_is_grevlex(vectors):
     by_key = sorted(vectors, key=MonomialOrder().key, reverse=True)
     assert sorted(vectors, key=_heap_key) == by_key
+
+
+# Key bases of the integer heap key are powers of two: a largest degree of
+# 2^k - 1 and one of 2^k give different bases, so both sides are drawn.
+STRADDLING_DEGREES = sorted({2**k + d for k in range(1, 9) for d in (-1, 0)} | {300})
+
+
+@st.composite
+def straddling_divisions(draw):
+    """(p, f) in 1 to 4 variables with deg p a key-base boundary: f's terms
+    are 2 to 4 degrees lower, and p mixes multiples of f's lead with other
+    terms, so a reduction takes at most a few dozen steps."""
+    arity = draw(st.integers(1, 4))
+    top = draw(st.sampled_from(STRADDLING_DEGREES))
+
+    def monomial(degree):
+        cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=arity - 1,
+                                    max_size=arity - 1)))
+        return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+
+    names = ("w", "x", "y", "z")[:arity]
+    f = Polynomial(names, {monomial(max(0, top - draw(st.integers(2, 4)))): draw(nonzero_gaussians)
+                           for _ in range(draw(st.integers(1, 3)))})
+    lead = f.leading_monomial()
+    multiples = [top] + draw(st.lists(st.integers(sum(lead), top), max_size=2))
+    p_terms = {tuple(map(add, lead, monomial(d - sum(lead)))): draw(nonzero_gaussians)
+               for d in multiples}
+    for _ in range(draw(st.integers(0, 3))):
+        p_terms[monomial(max(0, top - draw(st.integers(0, 3))))] = draw(nonzero_gaussians)
+    return Polynomial(names, p_terms), f
+
+
+@PROPERTY
+@given(straddling_divisions())
+@example((parse("x^128*y^127+y^255"), parse("x*y-z^2")))  # D = 255: base 256
+@example((parse("x^128*y^128+z^256"), parse("x*y-z^2")))  # D = 256: base 512
+@example((Polynomial(("x",), {(256,): 1, (255,): 2}), Polynomial(("x",), {(254,): 3, (0,): 1})))
+def test_integer_key_division_matches_rescan_at_key_bases(case):
+    p, f = case
+    q, rem = divide_remainder(p, f)
+    ref_q, ref_rem = rescan_divide_remainder(p, f)
+    assert list(q.terms.items()) == list(ref_q.terms.items())
+    assert list(rem.terms.items()) == list(ref_rem.terms.items())
+
+
+def test_zero_dividend_returns_before_finding_the_lead(monkeypatch):
+    calls = []
+    key = MonomialOrder.key
+    monkeypatch.setattr(MonomialOrder, "key", lambda self, e: calls.append(e) or key(self, e))
+    names = ("u", "v")
+    q, rem = divide_remainder(Polynomial(names), Polynomial(names, {(2, 0): 1, (0, 1): -1}))
+    assert q.is_zero and rem.is_zero and q.names == rem.names == names
+    assert not calls
+    # the errors come first
+    with pytest.raises(ValueError, match="zero polynomial"):
+        divide_remainder(Polynomial(names), Polynomial(names))
+    with pytest.raises(ValueError, match="variable mismatch"):
+        divide_remainder(Polynomial(names), parse("x"))
+
+
+def test_nothing_divisible_returns_p_in_grevlex_order():
+    names = ("u", "v", "w")
+    # inserted lowest first: 1, u, w^2, u*v, v^3
+    p = Polynomial(names, {(0, 0, 0): 1, (1, 0, 0): 2, (0, 0, 2): 3, (1, 1, 0): 4, (0, 3, 0): 5})
+    f = Polynomial(names, {(2, 0, 0): 1, (0, 1, 1): -1, (0, 0, 0): 7})
+    q, rem = divide_remainder(p, f)
+    assert q.is_zero and q.names == names
+    assert rem == p and rem.names == names
+    assert list(rem.terms) == [(0, 3, 0), (1, 1, 0), (0, 0, 2), (1, 0, 0), (0, 0, 0)]
+    assert list(rem.terms.items()) == list(rescan_divide_remainder(p, f)[1].terms.items())
+    assert str(rem) == "5*v^3+4*u*v+3*w^2+2*u+1"
 
 
 def test_divide_by_zero_raises():
