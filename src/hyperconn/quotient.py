@@ -12,8 +12,8 @@ from fractions import Fraction
 from .polycore import (
     GaussianRational,
     Polynomial,
-    _add_terms,
     _power,
+    _sum_of_products,
     divide_remainder,
     parse,
 )
@@ -41,12 +41,9 @@ class QuotientRing:
         return RingElement(self, remainder)
 
     def dot(self, pairs) -> "RingElement":
-        """Normal form of the sum of a*b over polynomial pairs, reduced once."""
-        acc = {}
-        for a, b in pairs:
-            if a and b:
-                _add_terms(acc, (a * b).terms)
-        return self.nf(Polynomial._raw(self.names, acc))
+        """Normal form of the sum of a*b over polynomial pairs, reduced once;
+        multi-term pairs add up as Gaussian integers (_sum_of_products)."""
+        return self.nf(Polynomial._raw(self.names, _sum_of_products(pairs)))
 
     def element(self, value) -> "RingElement":
         if isinstance(value, RingElement):

@@ -1,5 +1,6 @@
 """tools/bench_compare.py on synthetic BENCH files: pairing, wins, the gain
-rule in both metric directions, and argument checks."""
+rule in both metric directions, failed shares, work counts, and argument
+checks; and the counts tools/bench_record.py stores."""
 
 from __future__ import annotations
 
@@ -25,12 +26,13 @@ bench_record = _load("bench_record")
 BETTER = {"ops_per_s": "higher", "latency_p50_ms": "lower"}
 
 
-def record(**workloads):
-    """A BENCH record whose workloads hold the given per-run metric lists."""
+def record(failed=0, **workloads):
+    """A BENCH record whose workloads hold the given per-run metric lists;
+    each run attempted 10 operations and the first run failed `failed`."""
     result = {"label": "x", "commit": "0" * 40, "workloads": {}}
     for workload, metrics in workloads.items():
         count = len(next(iter(metrics.values())))
-        runs = [{"seed": 101 + k, "attempted": 10, "failed": 0,
+        runs = [{"seed": 101 + k, "attempted": 10, "failed": 0 if k else failed,
                  "metrics": {name: values[k] for name, values in metrics.items()}}
                 for k in range(count)]
         result["workloads"][workload] = {
@@ -41,7 +43,7 @@ def record(**workloads):
 
 
 def row(table, workload, metric):
-    return next(r for r in table[workload] if r["metric"] == metric)
+    return next(r for r in table[workload]["rows"] if r["metric"] == metric)
 
 
 def test_gain_holds_on_nine_wins_and_a_gap_beyond_the_parent_iqr():
@@ -81,7 +83,7 @@ def test_only_shared_workloads_are_paired_and_rendered():
     change = record(a={"ops_per_s": [3, 4, 5], "latency_p50_ms": [4.0, 6.0, 4.0]})
     table = bench_compare.compare(parent, change, BETTER)
     assert list(table) == ["a"]
-    assert [(r["pairs"], r["wins"]) for r in table["a"]] == [(2, 2), (2, 1)]
+    assert [(r["pairs"], r["wins"]) for r in table["a"]["rows"]] == [(2, 2), (2, 1)]
     text = bench_compare.render(table)
     assert text.startswith("a: parent -> change, median [q1, q3]\n")
     assert "  ops_per_s " in text and "+166.7%" in text and "wins 2/2" in text
@@ -98,12 +100,98 @@ def test_main_reads_labels_from_the_root(tmp_path, monkeypatch, capsys):
     (tmp_path / "BENCH_c-1.json").write_text(json.dumps(change))
     assert bench_compare.main(["p", "c-1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "w: parent -> change, median [q1, q3]" and len(lines) == 6
-    assert [line.split()[0] for line in lines[1:]] == [
+    assert lines[0] == "w: parent -> change, median [q1, q3]" and len(lines) == 7
+    assert lines[1].split() == ["failed", "0/100", "->", "0/100"]
+    assert [line.split()[0] for line in lines[2:]] == [
         "ops_per_s", "latency_p50_ms", "latency_p90_ms", "setup_s", "peak_rss_mb"]
-    assert "+20.0%  wins 10/10  gain holds" in lines[1]
-    assert "-50.0%  wins 10/10  gain holds" in lines[2]
-    assert all("+0.0%  wins 0/10  gain not shown" in line for line in lines[3:])
+    assert "+20.0%  wins 10/10  gain holds" in lines[2]
+    assert "-50.0%  wins 10/10  gain holds" in lines[3]
+    assert all("+0.0%  wins 0/10  gain not shown" in line for line in lines[4:])
+
+
+def test_gain_needs_a_failed_share_no_larger_than_the_parents():
+    parent = record(w={"ops_per_s": [100] * 10, "latency_p50_ms": [2.0] * 10})
+    faster = {"ops_per_s": [120] * 10, "latency_p50_ms": [1.0] * 10}
+    table = bench_compare.compare(parent, record(failed=1, **{"w": faster}), BETTER)
+    assert table["w"]["failed"] == ((0, 100), (1, 100))
+    assert [r["claim"] for r in table["w"]["rows"]] == [False, False]
+    assert bench_compare.render(table).splitlines()[1].split() == ["failed", "0/100", "->", "1/100"]
+    # an equal share, or a smaller one over more attempts, keeps the gain
+    both = record(failed=1, w={"ops_per_s": [100] * 10, "latency_p50_ms": [2.0] * 10})
+    table = bench_compare.compare(both, record(failed=1, **{"w": faster}), BETTER)
+    assert [r["claim"] for r in table["w"]["rows"]] == [True, True]
+    more = record(failed=1, w={"ops_per_s": [120] * 11, "latency_p50_ms": [1.0] * 11})
+    assert [r["claim"] for r in bench_compare.compare(both, more, BETTER)["w"]["rows"]] == [
+        True, True]
+
+
+def with_counts(bench, **counts):
+    bench["workloads"]["w"]["counts"] = counts
+    return bench
+
+
+def test_counts_print_parent_to_change_with_their_difference():
+    same = {"ops_per_s": [1] * 3, "latency_p50_ms": [1.0] * 3}
+    parent = with_counts(record(w=same), **{"quotient.nf.calls": 175.25,
+                                            "polycore.mul.calls": 1237 / 3,
+                                            "polycore.grevlex_key.calls": 529.0})
+    change = with_counts(record(w=same), **{"quotient.nf.calls": 175.25,
+                                            "polycore.mul.calls": 779 / 3,
+                                            "quotient.dot.calls": 157.5})
+    table = bench_compare.compare(parent, change, BETTER)
+    assert table["w"]["counts"] == [
+        ("quotient.nf.calls", 175.25, 175.25),
+        ("polycore.mul.calls", 1237 / 3, 779 / 3),
+        ("polycore.grevlex_key.calls", 529.0, None),
+        ("quotient.dot.calls", None, 157.5),
+    ]
+    lines = bench_compare.render(table).splitlines()[4:]
+    assert lines[0] == "  counts per op, --trace 1 --seed 1: parent -> change (difference)"
+    assert [line.split() for line in lines[1:]] == [
+        ["quotient.nf.calls", "175.25", "->", "175.25", "(+0)"],
+        ["polycore.mul.calls", "412.3333333", "->", "259.6666667", "(-152.6666667)"],
+        ["polycore.grevlex_key.calls", "529", "->", "-"],
+        ["quotient.dot.calls", "-", "->", "157.5"],
+    ]
+
+
+def test_records_without_counts_compare_as_before():
+    old = record(w={"ops_per_s": [1, 2], "latency_p50_ms": [5.0, 5.0]})
+    new = with_counts(record(w={"ops_per_s": [3, 4], "latency_p50_ms": [4.0, 4.0]}))
+    for parent, change in ((old, old), (old, new)):
+        table = bench_compare.compare(parent, change, BETTER)
+        assert table["w"]["counts"] == []
+        assert "counts" not in bench_compare.render(table)
+        assert len(bench_compare.render(table).splitlines()) == 4
+
+
+def test_bench_record_stores_the_counts_of_one_traced_run_per_workload(
+        tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def fake_bench(workload, seed, seconds, trace):
+        calls.append((workload, seed, trace))
+        metrics = {name: {"value": 1.5, "unit": "u"} for name in bench_record.METRICS}
+        if trace:
+            metrics = {"polycore.mul.calls": {"value": 259.5},
+                       "polycore.mul.self_s": {"value": 0.01},
+                       "polycore.mul.term_pairs": {"value": 1415.0},
+                       "polycore.divide_remainder.term_updates": {"value": 1057.25},
+                       "polycore.divide_remainder.terms_in": {"value": 4},
+                       "trace.coverage": {"value": 0.9}}
+        return {"attempted": 10, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "git", lambda *args: "" if args[0] == "status" else "c0")
+    monkeypatch.setattr(bench_record, "bench", fake_bench)
+    for seed in ("5", "6"):
+        assert bench_record.main(["t", "dense-shifted", seed]) == 0
+    capsys.readouterr()
+    assert calls == [("dense-shifted", 5, 0), ("dense-shifted", 1, 1), ("dense-shifted", 6, 0)]
+    entry = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["dense-shifted"]
+    assert entry["counts"] == {"polycore.mul.calls": 259.5, "polycore.mul.term_pairs": 1415.0,
+                               "polycore.divide_remainder.term_updates": 1057.25}
+    assert [run["seed"] for run in entry["runs"]] == [5, 6]
 
 
 @pytest.mark.parametrize("argv", [[], ["p"], ["p", "c", "x"], ["../p", "c"], ["p", "c.json"]])

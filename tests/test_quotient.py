@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperconn import GaussianRational, Polynomial, QuotientRing, parse
+from hyperconn.polycore import _add_terms, _sum_of_products
 from helpers import NAMES, random_element, random_polynomial
 
 SPHERE = QuotientRing(parse("x^2+y^2+z^2-1"))
@@ -104,6 +105,81 @@ def test_dot_matches_per_sum_loop(ring, pairs, cancel):
     got, want = ring.dot(pairs), per_sum_loop(ring, pairs)
     assert list(got.rep.terms.items()) == list(want.rep.terms.items())
     assert str(got) == str(want)
+
+
+def per_pair_terms(pairs):
+    # the per-pair sum _sum_of_products replaced: one Polynomial per product,
+    # added into the running map coefficient by coefficient
+    acc = {}
+    for a, b in pairs:
+        if a and b:
+            _add_terms(acc, (a * b).terms)
+    return acc
+
+
+# denominators up to 12 make the pairs' dl*dr differ, so most sums rescale
+twelfths = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+operands = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * len(NAMES)),
+    st.builds(GaussianRational, twelfths, twelfths),
+    max_size=4,
+).map(lambda terms: Polynomial(NAMES, terms))
+
+
+@pytest.mark.parametrize("ring", [SPHERE, CUBIC], ids=["sphere", "cubic"])
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(pairs=st.lists(st.tuples(operands, operands), max_size=8),
+       negated=st.lists(st.integers(0, 7), max_size=3))
+@example(pairs=[(parse("x/2+y"), parse("z+1")), (parse("x/3+1"), parse("y-i/5")),
+                (parse("2*x"), parse("x-y/4")), (Polynomial.zero(NAMES), parse("x+y"))],
+         negated=[])
+@example(pairs=[(parse("x/2+y"), parse("z/3+1")), (parse("x/6"), parse("y"))], negated=[0, 1])
+def test_sum_of_products_matches_per_pair_products(ring, pairs, negated):
+    # each index in negated appends (-a, b) for that pair, which cancels it exactly
+    pairs = pairs + [(-pairs[k][0], pairs[k][1]) for k in negated if k < len(pairs)]
+    got = _sum_of_products((a, b) for a, b in pairs)  # MatrixA passes a generator too
+    want = per_pair_terms(pairs)
+    assert got == want
+    reduced = ring.nf(Polynomial._raw(NAMES, got))
+    assert list(reduced.rep.terms.items()) == list(
+        ring.nf(Polynomial._raw(NAMES, want)).rep.terms.items())
+    assert list(ring.dot((a, b) for a, b in pairs).rep.terms.items()) == list(
+        reduced.rep.terms.items())
+
+
+@pytest.mark.parametrize("operand", ["x", "x+y"], ids=["one-term", "multi-term"])
+def test_dot_rejects_mismatched_names_as_a_product_does(operand):
+    a, b = parse(operand), parse("x+w", names=("x", "y", "w"))
+    with pytest.raises(ValueError) as product:
+        a * b
+    with pytest.raises(ValueError) as dot:
+        SPHERE.dot(iter([(parse("x+1"), parse("y-z")), (a, b)]))
+    assert str(dot.value) == str(product.value)
+
+
+def test_dot_multiplies_only_the_one_term_pairs_and_reduces_once(monkeypatch):
+    one_term = [(parse("2*x"), parse("y+z/3")), (parse("x-y"), parse("i*z")),
+                (parse("x/5"), parse("y"))]
+    multi_term = [(parse("x+y/2"), parse("z-1")), (parse("x^2-i"), parse("y/3+z"))]
+    zero = [(Polynomial.zero(NAMES), parse("x+y")), (parse("x"), Polynomial.zero(NAMES))]
+    pairs = one_term + zero + multi_term
+    want = CUBIC.nf(Polynomial._raw(NAMES, per_pair_terms(pairs)))
+    calls = {"mul": 0, "nf": 0}
+    mul, nf = Polynomial.__mul__, QuotientRing.nf
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counting_nf(self, p):
+        calls["nf"] += 1
+        return nf(self, p)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    monkeypatch.setattr(QuotientRing, "nf", counting_nf)
+    got = CUBIC.dot(pair for pair in pairs)
+    assert calls == {"mul": len(one_term), "nf": 1}
+    assert got == want
 
 
 def test_scalar_minus_element():

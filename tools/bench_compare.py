@@ -6,15 +6,19 @@ Usage (from anywhere):
 
 Reads BENCH_<PARENT_LABEL>.json and BENCH_<CHANGE_LABEL>.json at the
 repository root, as tools/bench_record.py writes them, and prints one block
-per workload that both hold. For each end-to-end metric BENCHMARK.json
-lists, a line gives each side's median and quartiles, the relative change of
-the median, the wins of the change, and whether a gain may be claimed. Run k
+per workload that both hold. The block opens with each side's failed and
+attempted operations. For each end-to-end metric BENCHMARK.json lists, a
+line gives each side's median and quartiles, the relative change of the
+median, the wins of the change, and whether a gain may be claimed. Run k
 of the change is paired with run k of the parent, and it wins when its value
 is better in the direction BENCHMARK.json gives; ties count for neither. A
-gain may be claimed when the change wins at least nine tenths of the pairs
-and its median is better than the parent's by more than the parent's
-interquartile range. LABEL is letters, digits, "_" and "-"; other arguments
-or a missing file exit with status 2.
+gain may be claimed when the change wins at least nine tenths of the pairs,
+its median is better than the parent's by more than the parent's
+interquartile range, and its share of failed operations is not above the
+parent's. Then each exact work count either record holds (``counts``) is
+printed parent -> change with its difference; "-" marks a count one side
+lacks, and records without counts print none. LABEL is letters, digits, "_"
+and "-"; other arguments or a missing file exit with status 2.
 """
 
 from __future__ import annotations
@@ -28,11 +32,20 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = ROOT / "BENCHMARK.json"
 
 
-def compare(parent: dict, change: dict, better: dict) -> dict:
-    """{workload: [row per metric]} for the workloads both records hold.
+def _failed(entry: dict) -> tuple[int, int]:
+    """(failed, attempted) over every run of one workload."""
+    return (sum(run["failed"] for run in entry["runs"]),
+            sum(run["attempted"] for run in entry["runs"]))
 
-    better maps each metric name to "higher" or "lower"; a row holds the
-    metric, both summaries, the pair count, the wins and the claim verdict.
+
+def compare(parent: dict, change: dict, better: dict) -> dict:
+    """{workload: {"failed", "rows", "counts"}} for the workloads both records hold.
+
+    better maps each metric name to "higher" or "lower". "failed" is each
+    side's (failed, attempted); a row holds the metric, both summaries, the
+    pair count, the wins and the claim verdict; "counts" lists (name, parent
+    value, change value) for every count either side holds, None where a
+    side lacks it.
     """
     table = {}
     for workload, base in parent["workloads"].items():
@@ -40,6 +53,9 @@ def compare(parent: dict, change: dict, better: dict) -> dict:
             continue
         new = change["workloads"][workload]
         pairs = list(zip(base["runs"], new["runs"]))
+        (old_failed, old_ran), (new_failed, new_ran) = _failed(base), _failed(new)
+        # the change's failed share is at most the parent's, without dividing
+        no_more_failed = new_failed * old_ran <= old_failed * new_ran
         rows = []
         for metric, direction in better.items():
             sign = 1 if direction == "higher" else -1
@@ -54,9 +70,15 @@ def compare(parent: dict, change: dict, better: dict) -> dict:
                 "pairs": len(pairs),
                 "wins": wins,
                 "claim": bool(pairs) and 10 * wins >= 9 * len(pairs)
-                and gap > old["q3"] - old["q1"],
+                and gap > old["q3"] - old["q1"] and no_more_failed,
             })
-        table[workload] = rows
+        old_counts, new_counts = base.get("counts", {}), new.get("counts", {})
+        table[workload] = {
+            "failed": ((old_failed, old_ran), (new_failed, new_ran)),
+            "rows": rows,
+            "counts": [(name, old_counts.get(name), new_counts.get(name))
+                       for name in {**old_counts, **new_counts}],
+        }
     return table
 
 
@@ -64,11 +86,17 @@ def _spread(s: dict) -> str:
     return f"{s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]"
 
 
+def _count(value) -> str:
+    return "-" if value is None else f"{value:.10g}"
+
+
 def render(table: dict) -> str:
     lines = []
-    for workload, rows in table.items():
+    for workload, block in table.items():
         lines.append(f"{workload}: parent -> change, median [q1, q3]")
-        for row in rows:
+        (old_failed, old_ran), (new_failed, new_ran) = block["failed"]
+        lines.append(f"  {'failed':<15} {f'{old_failed}/{old_ran}':>28} -> {new_failed}/{new_ran}")
+        for row in block["rows"]:
             old, now = row["parent"]["median"], row["change"]["median"]
             delta = f"{100 * (now - old) / old:+.1f}%" if old else "n/a"
             lines.append(
@@ -76,6 +104,11 @@ def render(table: dict) -> str:
                 f"{_spread(row['change']):<28} {delta:>7}  wins {row['wins']}/{row['pairs']}"
                 f"  gain {'holds' if row['claim'] else 'not shown'}"
             )
+        if block["counts"]:
+            lines.append("  counts per op, --trace 1 --seed 1: parent -> change (difference)")
+        for name, old, now in block["counts"]:
+            delta = "" if old is None or now is None else f" ({now - old:+.10g})"
+            lines.append(f"    {name:<40} {_count(old):>14} -> {_count(now)}{delta}")
     return "\n".join(lines) + "\n"
 
 

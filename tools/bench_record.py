@@ -8,7 +8,11 @@ Runs ``perfbench/run.py --workload WORKLOAD --seed SEED --seconds 35
 --trace 0`` on this checkout, echoes its report, and merges the result into
 BENCH_<LABEL>.json: the commit, Python version and CPU count once, and per
 workload every run (seed, attempted, failed, the five end-to-end metrics)
-with the median and quartiles of each metric over the runs so far. A file
+with the median and quartiles of each metric over the runs so far. The
+first run of a workload in a file also runs ``--workload WORKLOAD --seed 1
+--trace 1`` and stores its exact per-op work counts (every ``*.calls``,
+``*.term_pairs`` and ``*.term_updates``) under ``counts``; they depend only
+on the program and the seeded inputs, not on the host. A file
 holds the runs of one commit only; a run of another commit, or one that
 leaves uncommitted changes to tracked files, is refused. LABEL is letters,
 digits, "_" and "-"; SEED is an integer in ASCII digits with an optional
@@ -29,6 +33,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 35
 METRICS = ("ops_per_s", "latency_p50_ms", "latency_p90_ms", "setup_s", "peak_rss_mb")
+# The traced run times one untraced half of TRACE_SECONDS, at least one cycle,
+# then counts one traced cycle; only the counts are kept.
+TRACE_SECONDS = 2
+COUNTS = (".calls", ".term_pairs", ".term_updates")
 
 
 def git(*args) -> str:
@@ -42,6 +50,21 @@ def summary(values):
         return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def bench(workload: str, seed: int, seconds: float, trace: int):
+    """The JSON result of one perfbench/run.py run, echoed as it ran, or
+    its non-zero exit status."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    sys.stdout.write(proc.stdout)
+    sys.stderr.write(proc.stderr)
+    if proc.returncode != 0:
+        return proc.returncode
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def parse_arguments(argv):
@@ -71,24 +94,24 @@ def main(argv) -> int:
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
+        "counts_command": "python3 perfbench/run.py --workload W --seed 1 "
+                          f"--seconds {TRACE_SECONDS} --trace 1",
         "workloads": {},
     }
     if record["commit"] != commit:
         print(f"error: {path.name} holds runs of {record['commit']}, not {commit}", file=sys.stderr)
         return 2
 
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=ROOT, capture_output=True, text=True,
-    )
-    sys.stdout.write(proc.stdout)
-    sys.stderr.write(proc.stderr)
-    if proc.returncode != 0:
-        return proc.returncode
-    result = json.loads(proc.stdout.splitlines()[-1])
-
+    result = bench(workload, seed, SECONDS, 0)
+    if isinstance(result, int):
+        return result
     entry = record["workloads"].setdefault(workload, {"runs": []})
+    if "counts" not in entry:
+        traced = bench(workload, 1, TRACE_SECONDS, 1)
+        if isinstance(traced, int):
+            return traced
+        entry["counts"] = {name: metric["value"] for name, metric in traced["metrics"].items()
+                           if name.endswith(COUNTS)}
     entry["runs"].append({
         "seed": seed,
         "attempted": result["attempted"],
