@@ -78,6 +78,7 @@ class SphereLineBundle:
     The involution P squares to the identity, M = (P + I)/2 is idempotent,
     and the line bundle is the kernel of M, presented by the idempotent
     I - M (the unique idempotent-compatible choice; recorded in reports).
+    square_defect is the P^2 - I that the builder checked, kept for reports.
     """
 
     p: int
@@ -88,6 +89,7 @@ class SphereLineBundle:
     idempotent: MatrixA
     presentation: ProjectivePresentation
     derivations: tuple[Derivation, Derivation, Derivation]
+    square_defect: MatrixA
 
 
 def _fermat_ring(a: int, b: int, c: int) -> QuotientRing:
@@ -116,7 +118,7 @@ def build_ellipsoid_cotangent(p: int, q: int, r: int) -> EllipsoidCotangent:
 
 
 def build_sphere_line_bundle(p: int, q: int, r: int) -> SphereLineBundle:
-    """Build the line-bundle example; the involution square is verified."""
+    """Build the line-bundle example; P^2 - I is verified and kept."""
     _check_parameters(p, q, r, 1)
     ring = _fermat_ring(2 * p, 2 * q, 2 * r)
     # (2,1) entry is forced to y^q - i*z^r by P^2 = I; see reference_expected("sphere", "P-printed")
@@ -128,15 +130,15 @@ def build_sphere_line_bundle(p: int, q: int, r: int) -> SphereLineBundle:
         ],
     )
     identity = MatrixA.identity(ring, 2)
-    square_defect = involution * involution - identity
-    if not square_defect.is_zero:
-        raise ValueError(f"involution square defect: {square_defect}")
+    defect = involution * involution - identity
+    if not defect.is_zero:
+        raise ValueError(f"involution square defect: {defect}")
     half = Fraction(1, 2)
     idempotent = (involution + identity).scale(half)
-    presentation = make_presentation(ring, identity - idempotent)
+    pres = make_presentation(ring, identity - idempotent)
     k12, k13, k23 = koszul_derivations(ring)
     derivations = (k12 * half, k13 * half, k23 * -half)
-    return SphereLineBundle(p, q, r, ring, involution, idempotent, presentation, derivations)
+    return SphereLineBundle(p, q, r, ring, involution, idempotent, pres, derivations, defect)
 
 
 def _ellipsoid_expected(check_id: str, p: int, q: int, r: int):

@@ -7,6 +7,8 @@ commutator [delta(Phi), eta(Phi)], and the traces over the module and its
 complement are tr(Phi*C) and tr(Psi*C), Psi = I - Phi (an idempotent cycles
 out of a trace). All comparisons are exact zero tests in the quotient ring.
 
+make_presentation keeps the exact Phi^2 - Phi and Phi*k it checks on the
+frozen presentation, so a report reads them instead of computing them again.
 Each delta(Phi) is formed once per presentation: connection_matrix keeps it
 in a memo on the presentation, keyed by the derivation. The memo cannot go
 stale. The presentation is frozen, a Derivation is immutable and hashed and
@@ -36,13 +38,18 @@ class ProjectivePresentation:
     phi: MatrixA
     psi: MatrixA  # I - Phi, the complement
     kernel_generator: tuple | None
-    # delta -> delta(Phi), filled by connection_matrix; left out of ==, hash and repr
-    _connection_matrices: dict = field(
-        init=False, default_factory=dict, compare=False, repr=False
-    )
+    # left out of ==, hash and repr: the Phi^2 - Phi and Phi*k (None without k)
+    # make_presentation checked, and connection_matrix's memo delta -> delta(Phi)
+    defect: MatrixA = field(compare=False, repr=False)
+    kernel_image: tuple | None = field(compare=False, repr=False)
+    _connection_matrices: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __repr__(self) -> str:
         return f"ProjectivePresentation(n={self.n} over {self.ring!r})"
+
+
+def _vector_text(vec) -> str:  # a vector witness: (v1, v2, ...)
+    return "(" + ", ".join(str(v) for v in vec) + ")"
 
 
 def make_presentation(
@@ -51,7 +58,8 @@ def make_presentation(
     """Validate an idempotent and package it with its complement.
 
     The optional kernel generator is a nonzero vector that Phi must
-    annihilate; it witnesses membership in the kernel summand.
+    annihilate; it witnesses membership in the kernel summand. The checked
+    Phi^2 - Phi and Phi*k are kept on the result as defect and kernel_image.
     """
     if phi.ring != ring:
         raise ValueError("idempotent belongs to a different ring")
@@ -62,7 +70,7 @@ def make_presentation(
         raise PresentationError(f"idempotency failure: Phi^2 - Phi = {defect}")
     n = phi.rows
     psi = MatrixA.identity(ring, n) - phi
-    generator = None
+    generator = image = None
     if kernel_generator is not None:
         generator = tuple(ring.element(v) for v in kernel_generator)
         if len(generator) != n:
@@ -73,9 +81,9 @@ def make_presentation(
             raise PresentationError("kernel generator must be nonzero")
         image = phi.mul_vector(generator)
         if any(not v.is_zero for v in image):
-            witness = "(" + ", ".join(str(v) for v in image) + ")"
+            witness = _vector_text(image)
             raise PresentationError(f"kernel generator not annihilated: Phi*k = {witness}")
-    return ProjectivePresentation(ring, n, phi, psi, generator)
+    return ProjectivePresentation(ring, n, phi, psi, generator, defect, image)
 
 
 def _operator(delta: Derivation, matrix: MatrixA):
@@ -121,9 +129,8 @@ def curvature_matrix(p: ProjectivePresentation, delta: Derivation, eta: Derivati
     if p.kernel_generator is not None:
         image = c.mul_vector(p.kernel_generator)
         if any(not v.is_zero for v in image):
-            witness = "(" + ", ".join(str(v) for v in image) + ")"
             raise PresentationError(
-                f"curvature does not annihilate the kernel generator: C*k = {witness}"
+                f"curvature does not annihilate the kernel generator: C*k = {_vector_text(image)}"
             )
     return c
 

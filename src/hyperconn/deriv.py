@@ -23,7 +23,7 @@ class TangencyError(ValueError):
 class Derivation:
     """A derivation of the quotient ring, stored by generator images."""
 
-    __slots__ = ("ring", "images", "_hash")
+    __slots__ = ("ring", "images", "_hash", "_modulus_image")
 
     def __init__(self, ring: QuotientRing, images, *, _checked: bool = False):
         images = tuple(ring.element(v) for v in images)
@@ -31,18 +31,19 @@ class Derivation:
             raise ValueError(f"expected {ring.arity} generator images, got {len(images)}")
         self.ring = ring
         self.images = images
-        self._hash = None
+        self._hash = self._modulus_image = None
         if not _checked:
             defect = self.modulus_image()
             if not defect.is_zero:
                 raise TangencyError(
-                    f"images do not define a derivation of the quotient: "
-                    f"delta(f) = {defect} != 0"
+                    f"images do not define a derivation of the quotient: delta(f) = {defect} != 0"
                 )
 
     def modulus_image(self) -> RingElement:
-        """delta(f) recomputed from scratch; zero for every valid derivation."""
-        return self._apply_rep(self.ring.modulus)
+        """delta(f), zero if valid; computed once and kept (a Derivation is immutable)."""
+        if self._modulus_image is None:
+            self._modulus_image = self._apply_rep(self.ring.modulus)
+        return self._modulus_image
 
     def _apply_rep(self, rep: Polynomial) -> RingElement:
         return self.ring.dot(

@@ -327,9 +327,10 @@ def test_report_list_checks_covers_report_names():
 def test_verification_shares_curvature_work(monkeypatch, example, triple):
     # rows and the curvature block share one curvature report per pair, the
     # nonflat row reads Phi*C*Phi off its report, a report forms only Phi*C
-    # (its traces are taken without forming a product), and a commutator is
-    # one sum of products per entry rather than two matrix products
-    limit = {"ellipsoid": 5, "sphere": 7}[example]
+    # (its traces are taken without forming a product), a commutator is one
+    # sum of products per entry rather than two matrix products, and the
+    # idempotent and involution rows read the squares their builders formed
+    limit = {"ellipsoid": 4, "sphere": 5}[example]
     calls = []
     original = MatrixA.__mul__
 
@@ -388,8 +389,9 @@ def test_sphere_reference_table_is_built_once(monkeypatch):
         counts.append((calls["nf"], calls["reference"]))
     assert catalog._sphere_displays.cache_info().misses == 1
     assert counts[0][0] <= 124  # 208 when each lookup rebuilt every display
-    assert counts[1] == (90, 0)
-    assert counts[2][0] == 278
+    # 90 and 278 when the identity rows recomputed Phi^2, P^2, Phi*k and delta(f)
+    assert counts[1] == (82, 0)
+    assert counts[2][0] == 263
 
 
 @pytest.mark.parametrize(
@@ -456,9 +458,55 @@ def test_ellipsoid_rows_fail_against_wrong_references(monkeypatch, capsys):
     # _zero_status: [d1, d2] - (scalar + 1)*d3 = -d3
     assert rows["bracket-12"] == ("fail", str(-d[2]))
     assert rows["idempotent"] == ("pass", "0")
+    assert rows["kernel-annihilation"] == ("pass", "0")
     assert main(["verify", "ellipsoid", "--p", "2", "--q", "3", "--r", "4"]) == 1
     captured = capsys.readouterr()
     assert "  d1M-golden" in captured.out and "witness: difference" in captured.out
+    assert captured.err == ""
+
+
+def test_ellipsoid_construction_rows_report_the_stored_results(monkeypatch, capsys):
+    # the idempotent and kernel-annihilation rows print what make_presentation
+    # stored; a builder that stored nonzero results makes them fail
+    ex = catalog.build_ellipsoid_cotangent(2, 3, 4)
+    defect = MatrixA.identity(ex.ring, 3)
+    pres = dataclasses.replace(ex.presentation, defect=defect, kernel_image=ex.dFvec)
+    wrong = dataclasses.replace(ex, presentation=pres)
+    monkeypatch.setattr(catalog, "build_ellipsoid_cotangent", lambda p, q, r: wrong)
+    rows = _rows(run_verification("ellipsoid", 2, 3, 4))
+    assert rows["idempotent"] == ("fail", str(defect))
+    assert rows["kernel-annihilation"] == ("fail", "(2*x, 3*y^2, 4*z^3)")
+    assert main(["verify", "ellipsoid", "--p", "2", "--q", "3", "--r", "4"]) == 1
+    captured = capsys.readouterr()
+    assert "witness: (2*x, 3*y^2, 4*z^3)" in captured.out and captured.err == ""
+    # the tangency rows print delta(f); the ellipsoid's other rows need tangent
+    # derivations, so its tangency row runs alone on an unchecked d/dx
+    ctx = cli._Context("ellipsoid", 2, 3, 4)
+    ctx.ex = dataclasses.replace(ex, derivations=(Derivation(ex.ring, (1, 0, 0), _checked=True),))
+    assert dict(cli._ELLIPSOID_ROWS)["tangency-d1"](ctx) == ("fail", "2*x")
+
+
+def test_sphere_construction_rows_report_the_stored_results(monkeypatch, capsys):
+    ex = catalog.build_sphere_line_bundle(2, 1, 1)
+    ring = ex.ring
+    identity = MatrixA.identity(ring, 2)
+    pres = dataclasses.replace(ex.presentation, defect=-identity)
+    # d/dx, d/dy, d/dz, built unchecked: f = x^4 + y^2 + z^2 - 1 is not sent to 0
+    unchecked = tuple(Derivation(ring, images, _checked=True)
+                      for images in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    wrong = dataclasses.replace(
+        ex, presentation=pres, derivations=unchecked, square_defect=identity
+    )
+    monkeypatch.setattr(catalog, "build_sphere_line_bundle", lambda p, q, r: wrong)
+    rows = _rows(run_verification("sphere", 2, 1, 1))
+    assert rows["involution"] == ("fail", str(identity))
+    assert rows["idempotent"] == ("fail", str(-identity))
+    assert rows["tangency-D1"] == ("fail", "4*x^3")
+    assert rows["tangency-D2"] == ("fail", "2*y")
+    assert rows["tangency-D3"] == ("fail", "2*z")
+    assert main(["verify", "sphere", "--p", "2", "--q", "1", "--r", "1", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["summary"]["fail"] == 5
     assert captured.err == ""
 
 

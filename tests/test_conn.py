@@ -272,8 +272,34 @@ def test_presentation_equality_ignores_the_memo():
     assert repr(pres) == repr(fresh)
     copy = replace(pres)
     assert copy == pres and copy._connection_matrices == {}
+    # the checked Phi^2 - Phi and Phi*k travel with a copy
+    assert copy.defect is pres.defect and copy.kernel_image is pres.kernel_image
     connection_matrix(copy, ex.derivations[1])
     assert list(pres._connection_matrices) == [ex.derivations[0]]
+
+
+def test_presentation_keeps_its_checked_identities():
+    ex = build_ellipsoid_cotangent(2, 3, 4)
+    pres = ex.presentation
+    phi = pres.phi
+    assert pres.defect == phi * phi - phi and pres.defect.is_zero
+    assert pres.kernel_image == phi.mul_vector(ex.dFvec)
+    assert len(pres.kernel_image) == 3 and all(v.is_zero for v in pres.kernel_image)
+    assert _diag_presentation().kernel_image is None
+    # the stored results are left out of ==, hash and repr
+    wrong = replace(pres, defect=MatrixA.identity(ex.ring, 3), kernel_image=ex.dFvec)
+    assert wrong == pres and hash(wrong) == hash(pres) and repr(wrong) == repr(pres)
+
+
+def test_presentation_errors_name_their_witness():
+    phi = MatrixA.from_rows(SPHERE, [["1", "0"], ["0", "0"]])
+    with pytest.raises(PresentationError) as info:
+        make_presentation(SPHERE, phi, ("x", "y"))
+    assert str(info.value) == "kernel generator not annihilated: Phi*k = (x, 0)"
+    with pytest.raises(PresentationError) as info:
+        make_presentation(SPHERE, MatrixA.from_rows(SPHERE, [["x", "0"], ["0", "0"]]))
+    defect = MatrixA.from_rows(SPHERE, [["x^2-x", "0"], ["0", "0"]])
+    assert str(info.value) == f"idempotency failure: Phi^2 - Phi = {defect}"
 
 
 def test_deviation_report():
@@ -284,3 +310,20 @@ def test_deviation_report():
     assert report.deviation == 1
     with pytest.raises(ValueError):
         deviation_report(ex.presentation, (1, 1, 1))
+
+
+def test_curvature_matrix_names_the_kernel_witness():
+    # d/dx and d/dy are not tangent to the ellipsoid, so their curvature
+    # need not annihilate grad(f); the error prints C*k as a vector
+    ex = build_ellipsoid_cotangent(2, 3, 4)
+    pres = ex.presentation
+    dx, dy = (Derivation(ex.ring, images, _checked=True) for images in ((1, 0, 0), (0, 1, 0)))
+    c = commutator(dx.apply_to_matrix(pres.phi), dy.apply_to_matrix(pres.phi))
+    image = c.mul_vector(ex.dFvec)
+    assert any(not v.is_zero for v in image)
+    witness = "(" + ", ".join(str(v) for v in image) + ")"
+    with pytest.raises(PresentationError) as info:
+        curvature_matrix(pres, dx, dy)
+    assert str(info.value) == (
+        f"curvature does not annihilate the kernel generator: C*k = {witness}"
+    )

@@ -145,3 +145,40 @@ def test_hash_is_computed_once_and_by_value(monkeypatch):
     # equal derivations built apart hash alike, and equality is unchanged
     assert hash(D1) == first and D1 == delta
     assert {delta: 1}[D1] == 1
+
+
+def test_modulus_image_is_computed_once_per_derivation(monkeypatch):
+    calls = []
+    original = Derivation._apply_rep
+
+    def counting_apply(self, rep):
+        calls.append(rep)
+        return original(self, rep)
+
+    monkeypatch.setattr(Derivation, "_apply_rep", counting_apply)
+    # the check at construction computes delta(f); later calls return it
+    delta = Derivation(SPHERE, ("y", "-x", "0"))
+    assert calls == [SPHERE.modulus]
+    first = delta.modulus_image()
+    assert first.is_zero and delta.modulus_image() is first
+    assert len(calls) == 1
+    # a derivation built unchecked computes delta(f) on its first call
+    calls.clear()
+    scaled = Derivation(SPHERE, ("2*y", "-2*x", "0"), _checked=True)
+    assert calls == []
+    image = scaled.modulus_image()
+    assert image.is_zero and scaled.modulus_image() is image
+    assert calls == [SPHERE.modulus]
+    # an unchecked non-tangent derivation reports its delta(f) exactly
+    radial = Derivation(SPHERE, ("x", "y", "z"), _checked=True)
+    assert radial.modulus_image() == SPHERE.element(parse("2"))
+
+
+@pytest.mark.parametrize(
+    "images, defect", [(("1", "0", "0"), "2*x"), (("y", "x", "0"), "4*x*y")]
+)
+def test_tangency_error_message(images, defect):
+    message = f"images do not define a derivation of the quotient: delta(f) = {defect} != 0"
+    with pytest.raises(TangencyError) as info:
+        Derivation(SPHERE, images)
+    assert str(info.value) == message
