@@ -4,9 +4,10 @@ Each product entry, each commutator entry (the n products of a*b and the
 n negated products of b*a, which can cancel before the reduction), and
 trace_product's tr(a*b) (read off the diagonal pairs without forming a*b)
 is one sum of products reduced once by QuotientRing.dot. Characteristic
-polynomials use cofactor expansion over polynomials in t, and a
-determinant is the same expansion of the constant grid; it is exact and
-ample for the small matrices that occur here.
+polynomials use cofactor expansion over polynomials in t: each coefficient
+of det(tI - g), and of each minor on the way, is one sum of pivot-minor
+products reduced once. A determinant is the same expansion of the constant
+grid; it is exact and ample for the small matrices that occur here.
 """
 
 from __future__ import annotations
@@ -211,43 +212,29 @@ class MatrixA:
         return f"MatrixA({self.rows}x{self.cols} over {self.ring!r})"
 
 
-def _tpoly_mul(ring: QuotientRing, a, b):
-    out = [ring.zero()] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero:
-            continue
-        for j, cb in enumerate(b):
-            if cb.is_zero:
-                continue
-            out[i + j] = out[i + j] + ca * cb
-    return out
-
-
-def _tpoly_add(ring: QuotientRing, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, cb in enumerate(b):
-        out[i] = out[i] + cb
-    return out
+def _tpoly_dot(ring: QuotientRing, pairs):
+    """The sum of a*b over pairs of polynomials in t, each a list of ring
+    elements with the constant term first; each coefficient of the sum is
+    one ring.dot over every pair."""
+    pairs = [([c.rep for c in a], [c.rep for c in b]) for a, b in pairs]
+    return [ring.dot((x, b[k - i]) for a, b in pairs for i, x in enumerate(a)
+                     if 0 <= k - i < len(b))
+            for k in range(max(len(a) + len(b) - 1 for a, b in pairs))]
 
 
 def _det_cofactor_tpoly(ring: QuotientRing, grid):
+    """det of a square grid of polynomials in t: the sum of +-pivot * minor
+    over the first row, zero pivots skipped, as one _tpoly_dot."""
     n = len(grid)
     if n == 1:
         return grid[0][0]
-    total = [ring.zero()]
-    sign = 1
-    for j in range(n):
-        pivot = grid[0][j]
-        if any(not c.is_zero for c in pivot):
+    pairs = []
+    for j, pivot in enumerate(grid[0]):
+        if any(pivot):
             minor = [[row[k] for k in range(n) if k != j] for row in grid[1:]]
-            term = _tpoly_mul(ring, pivot, _det_cofactor_tpoly(ring, minor))
-            if sign < 0:
-                term = [-c for c in term]
-            total = _tpoly_add(ring, total, term)
-        sign = -sign
-    return total
+            pairs.append(([-c for c in pivot] if j % 2 else pivot,
+                          _det_cofactor_tpoly(ring, minor)))
+    return _tpoly_dot(ring, pairs) if pairs else [ring.zero()]
 
 
 def _rank_gauss(grid) -> int:
@@ -318,8 +305,7 @@ class CharPoly:
             raise ValueError("characteristic polynomials over different rings")
         a = list(reversed(self.coefficients))
         b = list(reversed(other.coefficients))
-        prod = _tpoly_mul(self.ring, a, b)
-        return CharPoly(self.ring, tuple(reversed(prod)))
+        return CharPoly(self.ring, tuple(reversed(_tpoly_dot(self.ring, [(a, b)]))))
 
     def evaluate_matrix(self, g: MatrixA) -> MatrixA:
         """Substitute the square matrix g for t (Horner over matrices)."""

@@ -3,11 +3,12 @@
 Coefficients are elements (a + b*i)/d of Q(i) held as three integers in
 lowest terms; Fractions appear only where values enter or leave as numbers
 (the constructor and the re/im parts), and text is printed from the three
-integers. A polynomial product and the multi-term pairs of a sum of
-products (`QuotientRing.dot`) share one loop over term pairs: operands are
-lifted to integer numerators over a common denominator, pairs add up as
-Gaussian integers, and each output coefficient is normalised once. A power
-by the multinomial theorem does the same over its compositions.
+integers. One function, `_sum_of_products`, adds up products of
+many-term polynomials: a polynomial product is the sum of one pair, and
+`QuotientRing.dot` hands it many. Operands are lifted to integer numerators
+over a common denominator, pairs add up as Gaussian integers, and each
+output coefficient is normalised once. A power by the multinomial theorem
+does the same over its compositions.
 Polynomials are sparse maps from monomials, which are plain exponent
 tuples, to nonzero coefficients, so equality is equality of term maps. A
 graded reverse lexicographic order fixes leading terms and makes division
@@ -382,13 +383,7 @@ class Polynomial:
                 tuple(map(add, m1, m2)): c1 * c2
                 for m1, c1 in self._terms.items() for m2, c2 in other._terms.items()
             })
-        # Integer numerators over one denominator per operand: the pair sums
-        # stay plain ints, and each output coefficient is normalised once.
-        left, dl = _lift(self._terms)
-        right, dr = _lift(other._terms)
-        d = dl * dr
-        return Polynomial._raw(self.names, {m: _gaussian(re, im, d)
-                                            for m, (re, im) in _pair_sums({}, left, right).items()})
+        return Polynomial._raw(self.names, _sum_of_products(((self, other),)))
 
     __rmul__ = __mul__
 
@@ -478,39 +473,13 @@ def _add_terms(result: dict, terms: dict) -> dict:
     return result
 
 
-def _pair_sums(sums: dict, left: list, right: list) -> dict:
-    """Add the product of every pair of lifted terms (monomial, a, b) of left
-    and right into sums, a map from monomials to Gaussian-integer numerators
-    (re, im). A sum that cancels leaves the map, as with per-pair
-    GaussianRational arithmetic, so the term order is the same too."""
-    get = sums.get
-    for m1, a1, b1 in left:
-        for m2, a2, b2 in right:
-            m = tuple(map(add, m1, m2))
-            if b1 or b2:
-                re = a1 * a2 - b1 * b2
-                im = a1 * b2 + b1 * a2
-            else:
-                re = a1 * a2
-                im = 0
-            acc = get(m)
-            if acc is None:
-                sums[m] = (re, im)
-            else:
-                re += acc[0]
-                im += acc[1]
-                if re or im:
-                    sums[m] = (re, im)
-                else:
-                    del sums[m]
-    return sums
-
-
 def _sum_of_products(pairs) -> dict:
     """The terms of the sum of a*b over polynomial pairs, zero operands
     skipped. A pair with a one-term operand is one product a*b. The others
     are lifted, scaled to the lcm D of their dl*dr and summed as Gaussian
-    integers, and each of their coefficients is normalised once over D."""
+    integers (re, im) per monomial, and each of their coefficients is
+    normalised once over D. A sum that cancels leaves the map, as with
+    per-pair GaussianRational arithmetic, so the term order is the same too."""
     acc, lifted = {}, []
     for a, b in pairs:
         if not (a and b):
@@ -523,11 +492,31 @@ def _sum_of_products(pairs) -> dict:
     if lifted:
         d = lcm(*[dl * dr for _, dl, _, dr in lifted])
         sums = {}
+        get = sums.get
         for left, dl, right, dr in lifted:
             if (k := d // (dl * dr)) != 1:
                 left = [(m, a * k, b * k) for m, a, b in left]
-            _pair_sums(sums, left, right)
-        _add_terms(acc, {m: _gaussian(re, im, d) for m, (re, im) in sums.items()})
+            for m1, a1, b1 in left:
+                for m2, a2, b2 in right:
+                    m = tuple(map(add, m1, m2))
+                    if b1 or b2:
+                        re = a1 * a2 - b1 * b2
+                        im = a1 * b2 + b1 * a2
+                    else:
+                        re = a1 * a2
+                        im = 0
+                    old = get(m)
+                    if old is None:
+                        sums[m] = (re, im)
+                    else:
+                        re += old[0]
+                        im += old[1]
+                        if re or im:
+                            sums[m] = (re, im)
+                        else:
+                            del sums[m]
+        terms = {m: _gaussian(re, im, d) for m, (re, im) in sums.items()}
+        return _add_terms(acc, terms) if acc else terms
     return acc
 
 

@@ -70,6 +70,30 @@ def nonzero_polynomial(rng: Random, names=NAMES, max_degree: int = 3) -> Polynom
             return p
 
 
+def pairwise_mul(p, q):
+    """Reference product: one GaussianRational product and sum per term pair.
+
+    This is the loop Polynomial.__mul__ ran before it accumulated integer
+    numerators. It never calls Polynomial.__mul__, so the products and sums
+    of products that the library forms can be checked against it.
+    """
+    result = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            c = c1 * c2
+            acc = result.get(m)
+            if acc is None:
+                result[m] = c
+            else:
+                s = acc + c
+                if s:
+                    result[m] = s
+                else:
+                    del result[m]
+    return Polynomial(p.names, result)
+
+
 def random_element(rng: Random, ring: QuotientRing, max_degree: int = 3, max_terms: int = 4):
     return ring.element(random_polynomial(rng, ring.names, max_degree, max_terms))
 

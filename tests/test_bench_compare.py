@@ -1,6 +1,6 @@
 """tools/bench_compare.py on synthetic BENCH files: pairing, wins, the gain
-rule in both metric directions, failed shares, work counts, and argument
-checks; and the counts tools/bench_record.py stores."""
+rule in both metric directions, the bound verdicts, failed shares, work
+counts, and argument checks; and the counts tools/bench_record.py stores."""
 
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ def _load(name):
 bench_compare = _load("bench_compare")
 bench_record = _load("bench_record")
 
-BETTER = {"ops_per_s": "higher", "latency_p50_ms": "lower"}
+# direction and bound of two of the end-to-end metrics of BENCHMARK.json
+BETTER = {"ops_per_s": ("higher", 0.2), "latency_p50_ms": ("lower", 0.15)}
 
 
 def record(failed=0, **workloads):
@@ -104,9 +105,57 @@ def test_main_reads_labels_from_the_root(tmp_path, monkeypatch, capsys):
     assert lines[1].split() == ["failed", "0/100", "->", "0/100"]
     assert [line.split()[0] for line in lines[2:]] == [
         "ops_per_s", "latency_p50_ms", "latency_p90_ms", "setup_s", "peak_rss_mb"]
-    assert "+20.0%  wins 10/10  gain holds" in lines[2]
-    assert "-50.0%  wins 10/10  gain holds" in lines[3]
-    assert all("+0.0%  wins 0/10  gain not shown" in line for line in lines[4:])
+    assert lines[2].endswith("+20.0%  wins 10/10  gain holds  within bound")
+    assert lines[3].endswith("-50.0%  wins 10/10  gain holds  within bound")
+    assert all(line.endswith("+0.0%  wins 0/10  gain not shown  within bound")
+               for line in lines[4:])
+
+
+def verdicts(parent, change):
+    return [r["bound"] for r in bench_compare.compare(parent, change, BETTER)["w"]["rows"]]
+
+
+def test_a_change_no_worse_than_its_bound_is_within_bound():
+    parent = record(w={"ops_per_s": [100, 101, 102, 103, 104] * 2,
+                       "latency_p50_ms": [2.0, 2.1, 2.0, 2.1, 2.0] * 2})
+    # medians 102 -> 85 (16.7% worse, bound 20%) and 2.0 -> 2.25 (12.5%, bound 15%)
+    slower = record(w={"ops_per_s": [85] * 10, "latency_p50_ms": [2.25] * 10})
+    assert verdicts(parent, slower) == ["within bound", "within bound"]
+    # better, or unchanged, is within bound too
+    faster = record(w={"ops_per_s": [150] * 10, "latency_p50_ms": [1.0] * 10})
+    assert verdicts(parent, faster) == ["within bound", "within bound"]
+    assert verdicts(parent, parent) == ["within bound", "within bound"]
+
+
+def test_a_change_worse_than_its_bound_is_worse_past_bound():
+    parent = record(w={"ops_per_s": [100, 101, 102, 103, 104] * 2,
+                       "latency_p50_ms": [2.0, 2.1, 2.0, 2.1, 2.0] * 2})
+    # 102 -> 80 is 21.6% fewer operations; 2.0 -> 2.4 is 20% more latency
+    worse = record(w={"ops_per_s": [80] * 10, "latency_p50_ms": [2.4] * 10})
+    assert verdicts(parent, worse) == ["worse past bound", "worse past bound"]
+    # a worse median is past the bound however many pairs the change wins
+    mixed = record(w={"ops_per_s": [105, 105, 105, 105, 105, 70, 70, 70, 70, 70, 70],
+                      "latency_p50_ms": [2.4] * 11})
+    assert verdicts(parent, mixed)[0] == "worse past bound"
+    text = bench_compare.render(bench_compare.compare(parent, worse, BETTER))
+    assert text.splitlines()[2].endswith("gain not shown  worse past bound")
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # interquartile ranges 40 around a median of 100 (bound 20) and 0.5
+    # around 2.0 (bound 0.3)
+    parent = record(w={"ops_per_s": [60, 80, 100, 120, 140] * 2,
+                       "latency_p50_ms": [1.5, 1.75, 2.0, 2.25, 2.5] * 2})
+    same = record(w={"ops_per_s": [100] * 10, "latency_p50_ms": [2.0] * 10})
+    assert verdicts(parent, same) == ["unresolved", "unresolved"]
+    worse = record(w={"ops_per_s": [10] * 10, "latency_p50_ms": [9.0] * 10})
+    assert verdicts(parent, worse) == ["unresolved", "unresolved"]
+    # unless every run of the change beats every run of the parent
+    beats = record(w={"ops_per_s": [141] * 10, "latency_p50_ms": [1.49] * 10})
+    assert verdicts(parent, beats) == ["within bound", "within bound"]
+    # a tie with the parent's best run is not a beat
+    ties = record(w={"ops_per_s": [140] * 10, "latency_p50_ms": [1.5] * 10})
+    assert verdicts(parent, ties) == ["unresolved", "unresolved"]
 
 
 def test_gain_needs_a_failed_share_no_larger_than_the_parents():

@@ -6,17 +6,20 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperconn import (
     CharPoly,
     GaussianRational,
     MatrixA,
+    Polynomial,
     QuotientRing,
     commutator,
     parse,
 )
 from hyperconn.matring import trace_product
-from helpers import random_element, random_matrix, random_polynomial
+from helpers import NAMES, random_element, random_matrix, random_polynomial
 
 SPHERE = QuotientRing(parse("x^2+y^2+z^2-1"))
 
@@ -226,3 +229,134 @@ def test_reduction_happens_in_products():
     m = MatrixA.from_rows(SPHERE, [[x, "0"], ["0", x]])
     assert m == MatrixA.identity(SPHERE, 2)
     assert (m * m) == MatrixA.identity(SPHERE, 2)
+
+
+# The cofactor expansion that reduced every pivot-minor product on its own
+# and then added the reduced results; it stays here only as the reference
+# for the expansion that reduces each coefficient once.
+def ref_tpoly_mul(ring, a, b):
+    out = [ring.zero()] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca.is_zero:
+            continue
+        for j, cb in enumerate(b):
+            if cb.is_zero:
+                continue
+            out[i + j] = out[i + j] + ca * cb
+    return out
+
+
+def ref_tpoly_add(ring, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, cb in enumerate(b):
+        out[i] = out[i] + cb
+    return out
+
+
+def ref_det_cofactor_tpoly(ring, grid):
+    n = len(grid)
+    if n == 1:
+        return grid[0][0]
+    total = [ring.zero()]
+    sign = 1
+    for j in range(n):
+        pivot = grid[0][j]
+        if any(not c.is_zero for c in pivot):
+            minor = [[row[k] for k in range(n) if k != j] for row in grid[1:]]
+            term = ref_tpoly_mul(ring, pivot, ref_det_cofactor_tpoly(ring, minor))
+            if sign < 0:
+                term = [-c for c in term]
+            total = ref_tpoly_add(ring, total, term)
+        sign = -sign
+    return total
+
+
+def ref_determinant(g):
+    return ref_det_cofactor_tpoly(g.ring, [[[e] for e in g.row(i)] for i in range(g.rows)])[0]
+
+
+def ref_char_poly(g):
+    """Coefficients of det(tI - g), degree n first, by the reference expansion."""
+    one, zero = g.ring.one(), g.ring.zero()
+    grid = [[[-g.entry(i, j), one] if i == j else [-g.entry(i, j)] for j in range(g.cols)]
+            for i in range(g.rows)]
+    coeffs = ref_det_cofactor_tpoly(g.ring, grid)
+    return list(reversed(coeffs + [zero] * (g.rows + 1 - len(coeffs))))
+
+
+def ref_char_poly_product(p, q):
+    a, b = list(reversed(p.coefficients)), list(reversed(q.coefficients))
+    return list(reversed(ref_tpoly_mul(p.ring, a, b)))
+
+
+def terms(elements):
+    """Each element's terms in order, so equal lists mean equal printed forms."""
+    return [list(e.rep.terms.items()) for e in elements]
+
+
+def canonical_terms(elements):
+    """terms() of each element reduced once more. The reference adds reduced
+    products, so its terms come in the order they were added; one more nf
+    (which keeps every value) puts them in the grevlex order of a single
+    reduction, the order the expansion under test gives."""
+    return [list(e.ring.nf(e.rep).rep.terms.items()) for e in elements]
+
+
+DENSE = MatrixA.from_rows(SPHERE, [["x+1", "y", "z-i"], ["2*x", "y*z+1", "3"],
+                                   ["x-y", "1/2", "z"]])
+
+thirds = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+# empty term maps are common, so zero pivots and zero minors are too
+entries = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(NAMES)),
+                          st.builds(GaussianRational, thirds, thirds), max_size=3)
+
+
+@st.composite
+def square_matrices(draw):
+    """1x1 to 4x4 matrices over the sphere; one row may be all zero."""
+    n = draw(st.integers(1, 4))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    zero_row = draw(st.integers(-1, n - 1))  # -1 keeps every row
+    if zero_row >= 0:
+        rows[zero_row] = [{}] * n
+    return MatrixA.from_rows(SPHERE, [[Polynomial(NAMES, e) for e in row] for row in rows])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(square_matrices(), square_matrices())
+@example(DENSE, MatrixA.from_rows(SPHERE, [["x"]]))
+@example(MatrixA.from_rows(SPHERE, [["0", "0", "0"], ["x", "y", "1"], ["z", "2", "i*x"]]),
+         MatrixA.from_rows(SPHERE, [["0", "x", "0", "y"], ["1", "0", "z", "0"],
+                                    ["0", "0", "0", "0"], ["x-y", "0", "1/2", "0"]]))
+def test_cofactor_expansion_matches_the_per_product_reference(g, h):
+    # an all-zero first row makes the determinant the [ring.zero()] of no
+    # pivots; zero pivots are skipped, odd columns carry the minus sign, and
+    # g and h differ in size, so the char poly factors differ in degree
+    assert terms([g.determinant()]) == canonical_terms([ref_determinant(g)])
+    p, q = g.char_poly(), h.char_poly()
+    assert terms(p.coefficients) == canonical_terms(ref_char_poly(g))
+    assert terms((p * q).coefficients) == canonical_terms(ref_char_poly_product(p, q))
+
+
+def test_cofactor_expansion_reduces_once_per_coefficient(monkeypatch):
+    # one nf per coefficient of each minor: the 2x2 minors 1 each and the
+    # top row 1 for the determinant; 2, 2 and 1 for the minors of tI - g and
+    # 4 for its char poly; 7 for a product of two cubics
+    calls = []
+    nf = QuotientRing.nf
+
+    def counting_nf(self, p):
+        calls.append(p)
+        return nf(self, p)
+
+    monkeypatch.setattr(QuotientRing, "nf", counting_nf)
+    DENSE.determinant()
+    assert len(calls) == 4
+    calls.clear()
+    cp = DENSE.char_poly()
+    assert len(calls) == 11
+    calls.clear()
+    cp * cp
+    assert len(calls) == 7

@@ -22,7 +22,14 @@ from hyperconn import (
     parse,
 )
 from hyperconn.polycore import MAX_EXPONENT, MAX_NESTING, _heap_key
-from helpers import NAMES, nonzero_gaussian, nonzero_polynomial, random_gaussian, random_polynomial
+from helpers import (
+    NAMES,
+    nonzero_gaussian,
+    nonzero_polynomial,
+    pairwise_mul,
+    random_gaussian,
+    random_polynomial,
+)
 
 # Deterministic and bounded, so the property tests run the same examples
 # every time and add only a few seconds.
@@ -197,29 +204,6 @@ class FractionGaussian:
 
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"
-
-
-def pairwise_mul(p, q):
-    """Reference product: one GaussianRational product and sum per term pair.
-
-    This is the loop Polynomial.__mul__ ran before it accumulated integer
-    numerators; it stays here only to check the integer loop against it.
-    """
-    result = {}
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            c = c1 * c2
-            acc = result.get(m)
-            if acc is None:
-                result[m] = c
-            else:
-                s = acc + c
-                if s:
-                    result[m] = s
-                else:
-                    del result[m]
-    return Polynomial(p.names, result)
 
 
 def canonical(z):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hyperconn import GaussianRational, Polynomial, QuotientRing, parse
 from hyperconn.polycore import _add_terms, _sum_of_products
-from helpers import NAMES, random_element, random_polynomial
+from helpers import NAMES, pairwise_mul, random_element, random_polynomial
 
 SPHERE = QuotientRing(parse("x^2+y^2+z^2-1"))
 CUBIC = QuotientRing(parse("x^2*y+y^2*z+x*z^2-1"))
@@ -86,10 +86,11 @@ def test_element_ring_laws(ring, a, b, c):
 
 
 def per_sum_loop(ring, pairs):
-    # the loop QuotientRing.dot replaced: a new Polynomial per +, then one nf
+    # the loop QuotientRing.dot replaced: a new Polynomial per +, then one nf;
+    # each product is the per-pair reference, since a * b is the kernel of dot
     acc = Polynomial.zero(ring.names)
     for a, b in pairs:
-        acc = acc + a * b
+        acc = acc + pairwise_mul(a, b)
     return ring.nf(acc)
 
 
@@ -109,11 +110,12 @@ def test_dot_matches_per_sum_loop(ring, pairs, cancel):
 
 def per_pair_terms(pairs):
     # the per-pair sum _sum_of_products replaced: one Polynomial per product,
-    # added into the running map coefficient by coefficient
+    # added into the running map coefficient by coefficient; a * b would be
+    # _sum_of_products itself, so each product is the per-pair reference
     acc = {}
     for a, b in pairs:
         if a and b:
-            _add_terms(acc, (a * b).terms)
+            _add_terms(acc, pairwise_mul(a, b).terms)
     return acc
 
 

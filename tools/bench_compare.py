@@ -15,7 +15,12 @@ is better in the direction BENCHMARK.json gives; ties count for neither. A
 gain may be claimed when the change wins at least nine tenths of the pairs,
 its median is better than the parent's by more than the parent's
 interquartile range, and its share of failed operations is not above the
-parent's. Then each exact work count either record holds (``counts``) is
+parent's. The line ends with a verdict against the metric's ``bound`` in
+BENCHMARK.json, a fraction of the parent's median: "unresolved" when the
+parent's interquartile range is wider than the bound, unless every run of
+the change beats every run of the parent; otherwise "worse past bound" when
+the change's median is worse than the parent's by more than the bound, and
+"within bound" when it is not. Then each exact work count either record holds (``counts``) is
 printed parent -> change with its difference; "-" marks a count one side
 lacks, and records without counts print none. LABEL is letters, digits, "_"
 and "-"; other arguments or a missing file exit with status 2.
@@ -38,39 +43,53 @@ def _failed(entry: dict) -> tuple[int, int]:
             sum(run["attempted"] for run in entry["runs"]))
 
 
-def compare(parent: dict, change: dict, better: dict) -> dict:
+def _verdict(old_runs: list, new_runs: list, old: dict, now: dict, sign: int,
+             bound: float) -> str:
+    """The bound verdict of one metric; sign is 1 when higher is better."""
+    allowed = bound * abs(old["median"])
+    beats_every_run = min(sign * v for v in new_runs) > max(sign * v for v in old_runs)
+    if old["q3"] - old["q1"] > allowed and not beats_every_run:
+        return "unresolved"
+    if sign * (old["median"] - now["median"]) > allowed:
+        return "worse past bound"
+    return "within bound"
+
+
+def compare(parent: dict, change: dict, metrics: dict) -> dict:
     """{workload: {"failed", "rows", "counts"}} for the workloads both records hold.
 
-    better maps each metric name to "higher" or "lower". "failed" is each
-    side's (failed, attempted); a row holds the metric, both summaries, the
-    pair count, the wins and the claim verdict; "counts" lists (name, parent
-    value, change value) for every count either side holds, None where a
-    side lacks it.
+    metrics maps each metric name to its direction, "higher" or "lower", and
+    its bound. "failed" is each side's (failed, attempted); a row holds the
+    metric, both summaries, the pair count, the wins, the claim verdict and
+    the bound verdict; "counts" lists (name, parent value, change value) for
+    every count either side holds, None where a side lacks it.
     """
     table = {}
     for workload, base in parent["workloads"].items():
         if workload not in change["workloads"]:
             continue
         new = change["workloads"][workload]
-        pairs = list(zip(base["runs"], new["runs"]))
+        pairs = min(len(base["runs"]), len(new["runs"]))
         (old_failed, old_ran), (new_failed, new_ran) = _failed(base), _failed(new)
         # the change's failed share is at most the parent's, without dividing
         no_more_failed = new_failed * old_ran <= old_failed * new_ran
         rows = []
-        for metric, direction in better.items():
+        for metric, (direction, bound) in metrics.items():
             sign = 1 if direction == "higher" else -1
             old, now = base["summary"][metric], new["summary"][metric]
-            wins = sum(sign * (b["metrics"][metric] - a["metrics"][metric]) > 0
-                       for a, b in pairs)
+            old_runs = [run["metrics"][metric] for run in base["runs"]]
+            new_runs = [run["metrics"][metric] for run in new["runs"]]
+            wins = sum(sign * (b - a) > 0 for a, b in zip(old_runs, new_runs))
             gap = sign * (now["median"] - old["median"])
             rows.append({
                 "metric": metric,
                 "parent": old,
                 "change": now,
-                "pairs": len(pairs),
+                "pairs": pairs,
                 "wins": wins,
-                "claim": bool(pairs) and 10 * wins >= 9 * len(pairs)
+                "claim": bool(pairs) and 10 * wins >= 9 * pairs
                 and gap > old["q3"] - old["q1"] and no_more_failed,
+                "bound": _verdict(old_runs, new_runs, old, now, sign, bound),
             })
         old_counts, new_counts = base.get("counts", {}), new.get("counts", {})
         table[workload] = {
@@ -102,7 +121,7 @@ def render(table: dict) -> str:
             lines.append(
                 f"  {row['metric']:<15} {_spread(row['parent']):>28} -> "
                 f"{_spread(row['change']):<28} {delta:>7}  wins {row['wins']}/{row['pairs']}"
-                f"  gain {'holds' if row['claim'] else 'not shown'}"
+                f"  gain {'holds' if row['claim'] else 'not shown'}  {row['bound']}"
             )
         if block["counts"]:
             lines.append("  counts per op, --trace 1 --seed 1: parent -> change (difference)")
@@ -124,8 +143,8 @@ def main(argv) -> int:
             return 2
         records.append(json.loads(path.read_text()))
     spec = json.loads(BENCHMARK.read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    sys.stdout.write(render(compare(*records, better)))
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    sys.stdout.write(render(compare(*records, metrics)))
     return 0
 
 
