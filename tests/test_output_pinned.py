@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+from itertools import product
 
 import pytest
 
@@ -76,3 +77,28 @@ def test_output_digest(argv, digest):
         code = main(argv)
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+# Every triple of the benchmark's verify-sweep: the ellipsoid at {2,3,4}^3 and
+# the sphere at {1,2}^3, in that order.
+SWEEP_TRIPLES = [("ellipsoid", *t) for t in product(range(2, 5), repeat=3)] + [
+    ("sphere", *t) for t in product(range(1, 3), repeat=3)
+]
+
+SWEEP_DIGESTS = [
+    ([], "a8e74a55f534786a9f49c9099adea5ebf5dd924311f7fe1c447c38a62351aabc"),
+    (["--json"], "e230f11810cf2624915430c5852ce25c852302f46d10016df29cb09f7aebab96"),
+]
+
+
+@pytest.mark.parametrize("extra, digest", SWEEP_DIGESTS, ids=["text", "json"])
+def test_every_benchmark_triple_digest(extra, digest):
+    """The sha256 of the concatenated verify output of all 35 triples."""
+    sha = hashlib.sha256()
+    for example, p, q, r in SWEEP_TRIPLES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", example, "--p", str(p), "--q", str(q), "--r", str(r), *extra])
+        assert code == 0
+        sha.update(out.getvalue().encode("utf-8"))
+    assert sha.hexdigest() == digest
