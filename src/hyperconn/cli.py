@@ -14,9 +14,9 @@ sphere's golden rows run only at (1, 1, 1), and report --list-checks reads
 its names from these tables. Each identity that holds by construction
 (Phi^2 = Phi, Phi*k = 0, P^2 = I, delta(f) = 0) is computed once, in the
 build or at a derivation's first delta(f), and its row reads that result.
-A verify computes each pair's curvature report once; the rows and the
-curvature block share it, and each delta(Phi) through conn.connection_matrix.
---timings charges this memoised work to the first row that touches it.
+A verify computes each pair's curvature report and each A_d(dFvec) once; the
+rows and the curvature block share them, and each delta(Phi) through
+conn.connection_matrix. --timings charges memoised work to its first row.
 
 Exit codes: 0 when no check fails (discrepancies allowed), 1 when any
 check fails, 2 for usage or parse errors, 3 for an internal error (any
@@ -143,8 +143,9 @@ class _Context:
     """One example at one triple, with the work its rows share memoised.
 
     Each pair's curvature report is computed once, by whichever row or the
-    curvature block asks for it first; each delta(Phi) likewise, in the
-    presentation's own memo (conn.connection_matrix).
+    curvature block asks for it first; so is each A_{d_i}(dFvec), which the
+    formone and nested rows share, and each delta(Phi), in the presentation's
+    own memo (conn.connection_matrix).
     """
 
     def __init__(self, example: str, p: int, q: int, r: int):
@@ -154,6 +155,7 @@ class _Context:
         self.ex = self.family.build(p, q, r)
         self.pres = self.ex.presentation
         self._curvature: dict = {}
+        self._applied: dict = {}
 
     def expected(self, check_id: str):
         return catalog.reference_expected(self.example, check_id, *self.params)
@@ -165,6 +167,11 @@ class _Context:
                 self.pres, d[i], d[j], f"{label}{i + 1}", f"{label}{j + 1}"
             )
         return self._curvature[i, j]
+
+    def applied(self, i: int):
+        if i not in self._applied:
+            self._applied[i] = connection_apply(self.pres, self.ex.derivations[i], self.ex.dFvec)
+        return self._applied[i]
 
 
 def _per_index(name: str, check):
@@ -189,13 +196,11 @@ def _scalar_multiple_status(ctx: _Context, vector, check_id: str):
 
 
 def _formone(ctx: _Context, i: int):
-    applied = connection_apply(ctx.pres, ctx.ex.derivations[i], ctx.ex.dFvec)
-    return _scalar_multiple_status(ctx, applied, f"formone-scalar-{i + 1}")
+    return _scalar_multiple_status(ctx, ctx.applied(i), f"formone-scalar-{i + 1}")
 
 
 def _nested(ctx: _Context, first: int, second: int):
-    inner = connection_apply(ctx.pres, ctx.ex.derivations[second], ctx.ex.dFvec)
-    outer = connection_apply(ctx.pres, ctx.ex.derivations[first], inner)
+    outer = connection_apply(ctx.pres, ctx.ex.derivations[first], ctx.applied(second))
     return _scalar_multiple_status(ctx, outer, f"nested-{first + 1}{second + 1}-scalar")
 
 
@@ -208,10 +213,8 @@ def _bracket(ctx: _Context, i: int, j: int):
 
 
 def _nonflat(ctx: _Context):
-    induced = ctx.curvature(0, 1).induced
-    if induced.is_zero:
-        return "fail", "0"
-    return "pass", str(induced)
+    report = ctx.curvature(0, 1)
+    return ("fail", "0") if report.flat else ("pass", str(report.induced))
 
 
 _IDEMPOTENT_ROW = ("idempotent", lambda ctx: _zero_status(ctx.pres.defect))

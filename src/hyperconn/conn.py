@@ -5,7 +5,9 @@ acting on a free module. The connection operator for a tangent derivation
 delta sends v to D_delta(v) + delta(Phi)*v, its curvature for a pair is the
 commutator [delta(Phi), eta(Phi)], and the traces over the module and its
 complement are tr(Phi*C) and tr(Psi*C), Psi = I - Phi (an idempotent cycles
-out of a trace). All comparisons are exact zero tests in the quotient ring.
+out of a trace). A pair is flat when Phi*C, the endomorphism C induces on the
+module, is zero: its report reads Phi*C up to the first nonzero entry and forms
+the whole matrix only when asked (induced). All tests are exact, in the ring.
 
 make_presentation keeps the exact Phi^2 - Phi and Phi*k it checks on the
 frozen presentation, so a report reads them instead of computing them again.
@@ -154,13 +156,19 @@ def trace_over_kernel(p: ProjectivePresentation, c: MatrixA) -> RingElement:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Curvature data for one derivation pair."""
+    """Curvature data for one derivation pair; induced forms Phi*C on each read,
+    from the Phi kept beside C and left out of ==, hash and repr."""
 
     pair: tuple[str, str]
     commutator: MatrixA
     trace_image: RingElement
     trace_kernel: RingElement
-    induced: MatrixA  # Phi*C = Phi*C*Phi, the endomorphism C induces on the module
+    flat: bool
+    phi: MatrixA = field(compare=False, repr=False)
+
+    @property
+    def induced(self) -> MatrixA:
+        return self.phi * self.commutator
 
     def to_json(self) -> dict:
         return {
@@ -168,7 +176,7 @@ class CurvatureReport:
             "commutator": self.commutator.to_json(),
             "trace_image": str(self.trace_image),
             "trace_kernel": str(self.trace_kernel),
-            "flat": self.induced.is_zero,
+            "flat": self.flat,
         }
 
 
@@ -188,8 +196,8 @@ def curvature_report(
     # Phi*C = C*Phi: differentiating Phi^2 = Phi gives Phi*d(Phi) = d(Phi)*Psi
     # and Psi*d(Phi) = d(Phi)*Phi, so Phi*d(Phi)*e(Phi) = d(Phi)*e(Phi)*Phi for
     # d, e = delta, eta and either order. Hence Phi*C*Phi = Phi*Phi*C = Phi*C.
-    induced = p.phi * c
-    return CurvatureReport((label_delta, label_eta), c, trace_image, trace_kernel, induced)
+    flat = not any(p.phi._product_entries(c))
+    return CurvatureReport((label_delta, label_eta), c, trace_image, trace_kernel, flat, p.phi)
 
 
 def operator_commutator_matrix(

@@ -99,12 +99,13 @@ class Derivation:
         return Derivation(self.ring, tuple(-a for a in self.images), _checked=True)
 
     def __mul__(self, scalar):
-        # an A-multiple of a tangent derivation is tangent
+        # a*delta is tangent and sends f to a*delta(f): a known zero delta(f) carries over
         if isinstance(scalar, (int, Fraction, GaussianRational, RingElement)):
             a = self.ring.element(scalar)
-            return Derivation(
-                self.ring, tuple(a * img for img in self.images), _checked=True
-            )
+            multiple = Derivation(self.ring, tuple(a * img for img in self.images), _checked=True)
+            if self._modulus_image is not None and self._modulus_image.is_zero:
+                multiple._modulus_image = self._modulus_image
+            return multiple
         return NotImplemented
 
     __rmul__ = __mul__

@@ -133,13 +133,16 @@ class MatrixA:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            columns = [other.column(j) for j in range(other.cols)]
-            out = [self.ring.dot((a.rep, b.rep) for a, b in zip(self.row(i), column))
-                   for i in range(self.rows) for column in columns]
-            return MatrixA(self.ring, self.rows, other.cols, out)
+            return MatrixA(self.ring, self.rows, other.cols, self._product_entries(other))
         if isinstance(other, (int, Fraction, GaussianRational, RingElement)):
             return self.scale(other)
         return NotImplemented
+
+    def _product_entries(self, other: "MatrixA"):
+        """self*other's entries, row-major, each formed when asked for (shapes unchecked)."""
+        columns = [other.column(j) for j in range(other.cols)]
+        return (self.ring.dot((a.rep, b.rep) for a, b in zip(self.row(i), column))
+                for i in range(self.rows) for column in columns)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, RingElement)):

@@ -157,7 +157,11 @@ class RingElement:
         if isinstance(other, RingElement):
             if other.ring != self.ring:
                 raise ValueError("elements belong to different rings")
-            return self.ring.nf(self.rep * other.rep)
+            a, b = self.rep, other.rep
+            # a constant times a normal form is one; told apart without degree()'s scan
+            if any(len(t) < 2 and not any(next(iter(t), ())) for t in (a.terms, b.terms)):
+                return RingElement(self.ring, a * b)
+            return self.ring.nf(a * b)
         return NotImplemented
 
     __rmul__ = __mul__

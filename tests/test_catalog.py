@@ -155,6 +155,22 @@ def test_sphere_construction_invariants():
             assert d.modulus_image().is_zero
 
 
+def test_sphere_build_reduces_no_constant_multiple(monkeypatch):
+    # (P + I)/2 and the fields k12/2, k13/2, -k23/2 are constant multiples of
+    # normal forms, so only the products and the Koszul fields reduce (37 nf
+    # calls when the 4 entries of (P + I)/2 and the 9 field images reduced)
+    calls = []
+    nf = QuotientRing.nf
+
+    def counting_nf(self, p):
+        calls.append(p)
+        return nf(self, p)
+
+    monkeypatch.setattr(QuotientRing, "nf", counting_nf)
+    build_sphere_line_bundle(1, 1, 1)
+    assert len(calls) == 24
+
+
 def test_sphere_involution_printed_entry_differs():
     # the corrected (2,1) entry uses the q-th power; the printed display
     # uses the p-th and only squares to the identity when p == q

@@ -325,12 +325,13 @@ def test_report_list_checks_covers_report_names():
 
 @pytest.mark.parametrize("example, triple", [("ellipsoid", (2, 3, 4)), ("sphere", (1, 1, 1))])
 def test_verification_shares_curvature_work(monkeypatch, example, triple):
-    # rows and the curvature block share one curvature report per pair, the
-    # nonflat row reads Phi*C*Phi off its report, a report forms only Phi*C
-    # (its traces are taken without forming a product), a commutator is one
-    # sum of products per entry rather than two matrix products, and the
-    # idempotent and involution rows read the squares their builders formed
-    limit = {"ellipsoid": 4, "sphere": 5}[example]
+    # rows and the curvature block share one curvature report per pair, a
+    # report reads its flatness and traces without a matrix product, and a
+    # commutator is one sum of products per entry. What is left: the sphere's
+    # P^2 and Phi^2, which its builder and the idempotent row share, and the
+    # ellipsoid's Phi^2 and its nonflat-12 witness Phi*C (4 and 5 products
+    # when every report formed Phi*C)
+    expected = {"ellipsoid": 2, "sphere": 2}[example]
     calls = []
     original = MatrixA.__mul__
 
@@ -340,7 +341,7 @@ def test_verification_shares_curvature_work(monkeypatch, example, triple):
 
     monkeypatch.setattr(MatrixA, "__mul__", counting_mul)
     run_verification(example, *triple)
-    assert len(calls) <= limit
+    assert len(calls) == expected
 
 
 @pytest.mark.parametrize(
@@ -360,6 +361,39 @@ def test_verification_differentiates_phi_once_per_derivation(monkeypatch, exampl
     monkeypatch.setattr(Derivation, "apply_to_matrix", counting_apply)
     run_verification(example, *triple)
     assert len(calls) == 3
+
+
+def test_verification_applies_each_connection_to_dfvec_once(monkeypatch):
+    # formone-i and the inner application of nested-ji share A_{d_i}(dFvec):
+    # three applications for formone, two outer ones for nested (7 before)
+    calls = []
+    original = cli.connection_apply
+
+    def counting_apply(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "connection_apply", counting_apply)
+    run_verification("ellipsoid", 2, 3, 4)
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("triple", [(1, 1, 1), (2, 1, 1)])
+def test_sphere_verify_computes_delta_f_once_per_koszul_field(monkeypatch, triple):
+    # the scaled fields k12/2, k13/2 and -k23/2 keep the zero delta(f) that
+    # koszul_derivations found, so the tangency rows reduce nothing (6 before)
+    calls = []
+    original = Derivation._apply_rep
+
+    def counting_apply_rep(self, rep):
+        if rep is self.ring.modulus:
+            calls.append(1)
+        return original(self, rep)
+
+    monkeypatch.setattr(Derivation, "_apply_rep", counting_apply_rep)
+    report = run_verification("sphere", *triple)
+    assert len(calls) == 3
+    assert all(c.status == "pass" for c in report.checks if c.name.startswith("tangency"))
 
 
 def test_sphere_reference_table_is_built_once(monkeypatch):
@@ -390,8 +424,11 @@ def test_sphere_reference_table_is_built_once(monkeypatch):
     assert catalog._sphere_displays.cache_info().misses == 1
     assert counts[0][0] <= 124  # 208 when each lookup rebuilt every display
     # 90 and 278 when the identity rows recomputed Phi^2, P^2, Phi*k and delta(f)
-    assert counts[1] == (82, 0)
-    assert counts[2][0] == 263
+    # 82 and 263 when every report formed Phi*C, the formone and nested rows
+    # applied the connection apart, the sphere's scaled fields recomputed
+    # delta(f) and a constant factor was reduced
+    assert counts[1] == (57, 0)
+    assert counts[2][0] == 231
 
 
 @pytest.mark.parametrize(
@@ -562,7 +599,7 @@ def test_rank_and_flatness_rows_fail(monkeypatch, capsys):
 
     def flat_report(pres, delta, eta, *labels):
         report = conn.curvature_report(pres, delta, eta, *labels)
-        return dataclasses.replace(report, induced=MatrixA.zero(pres.ring, pres.n))
+        return dataclasses.replace(report, flat=True)
 
     monkeypatch.setattr(cli, "curvature_report", flat_report)
     rows = _rows(run_verification("ellipsoid", 2, 3, 4))

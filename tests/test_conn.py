@@ -150,6 +150,46 @@ def test_curvature_report_fields():
     assert isinstance(data["commutator"][0][0], str)
 
 
+@pytest.mark.parametrize(
+    "ex",
+    [build_ellipsoid_cotangent(2, 3, 4), build_sphere_line_bundle(1, 1, 1)],
+    ids=["ellipsoid", "sphere"],
+)
+def test_curvature_report_flatness_is_phi_times_commutator(ex):
+    # flat is read off the entries of Phi*C up to the first nonzero one, and
+    # induced forms Phi*C in full; both agree with the product formed directly
+    phi = ex.presentation.phi
+    for delta, eta in combinations(ex.derivations, 2):
+        report = curvature_report(ex.presentation, delta, eta, "a", "b")
+        assert report.flat == (phi * report.commutator).is_zero
+        assert report.induced == phi * report.commutator
+        assert report.to_json()["flat"] is report.flat
+
+
+def test_curvature_report_scans_phi_times_c_up_to_its_first_nonzero_entry(monkeypatch):
+    ex = build_ellipsoid_cotangent(2, 3, 4)
+    pres, (d1, d2, _) = ex.presentation, ex.derivations
+    read = []
+    original = MatrixA._product_entries
+
+    def counting_entries(self, other):
+        for entry in original(self, other):
+            read.append(entry)
+            yield entry
+
+    monkeypatch.setattr(MatrixA, "_product_entries", counting_entries)
+    # delta = eta: C = 0, so the pair is flat and every entry of Phi*C is read
+    report = curvature_report(pres, d1, d1, "d1", "d1")
+    assert report.commutator.is_zero and report.flat
+    assert len(read) == pres.n**2 and not any(read)
+    read.clear()
+    # a non-flat pair stops at the first nonzero entry, here before the last
+    report = curvature_report(pres, d1, d2, "d1", "d2")
+    scanned = len(read)
+    first = next(k for k, e in enumerate(report.induced.entries) if e)
+    assert not report.flat and scanned == first + 1 < pres.n**2
+
+
 def test_operator_commutator_is_a_linear_in_potential():
     ex = build_ellipsoid_cotangent(2, 2, 2)
     pres = ex.presentation

@@ -172,6 +172,12 @@ def test_modulus_image_is_computed_once_per_derivation(monkeypatch):
     # an unchecked non-tangent derivation reports its delta(f) exactly
     radial = Derivation(SPHERE, ("x", "y", "z"), _checked=True)
     assert radial.modulus_image() == SPHERE.element(parse("2"))
+    # a multiple keeps a known zero delta(f), and computes a nonzero one anew
+    calls.clear()
+    half = delta * SPHERE.element(parse("1/2"))
+    assert half.modulus_image() is first and calls == []
+    assert (radial * SPHERE.element(parse("x"))).modulus_image() == SPHERE.element(parse("2*x"))
+    assert calls == [SPHERE.modulus]
 
 
 @pytest.mark.parametrize(

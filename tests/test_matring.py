@@ -191,6 +191,29 @@ def test_scalar_times_matrix():
     )
 
 
+def test_constant_scale_and_cayley_hamilton_reduce_only_products(monkeypatch):
+    # a constant times a normal form is one: scale(1/2) reduces nothing, and
+    # Horner's identity.scale(c) per coefficient adds no reduction to the 4
+    # products result*g of 9 entries each (72 nf calls when scale reduced)
+    g = MatrixA.from_rows(SPHERE, [["x+1", "y", "z-i"], ["2*x", "y*z+1", "3"], ["x-y", "1/2", "z"]])
+    half = MatrixA.from_rows(
+        SPHERE, [["x/2+1/2", "y/2", "z/2-i/2"], ["x", "y*z/2+1/2", "3/2"], ["x/2-y/2", "1/4", "z/2"]]
+    )
+    cp = g.char_poly()
+    calls = []
+    nf = QuotientRing.nf
+
+    def counting_nf(self, p):
+        calls.append(p)
+        return nf(self, p)
+
+    monkeypatch.setattr(QuotientRing, "nf", counting_nf)
+    assert g.scale(Fraction(1, 2)) == half
+    assert calls == []
+    assert cp.evaluate_matrix(g).is_zero
+    assert len(calls) == 36
+
+
 def test_char_poly_hash_follows_equality():
     # three matrices with characteristic polynomial t^2 - 2t + 1, and one other
     one = SPHERE.one()

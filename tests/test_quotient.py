@@ -85,6 +85,24 @@ def test_element_ring_laws(ring, a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@pytest.mark.parametrize("ring", [SPHERE, CUBIC], ids=["sphere", "cubic"])
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(a=small_polynomials, c=st.builds(GaussianRational, fractions, fractions))
+def test_constant_factor_leaves_a_normal_form(ring, a, c):
+    # a constant, zero included, times a normal form is a normal form, so the
+    # product skips nf on either side and still equals the reduced product
+    a, c = ring.element(a), ring.element(c)
+    expected = ring.nf(a.rep * c.rep)
+    calls = []
+    nf = QuotientRing.nf
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QuotientRing, "nf", lambda self, p: calls.append(p) or nf(self, p))
+        products = (a * c, c * a)
+    assert products == (expected, expected)
+    assert str(products[0]) == str(expected)
+    assert calls == []
+
+
 def per_sum_loop(ring, pairs):
     # the loop QuotientRing.dot replaced: a new Polynomial per +, then one nf;
     # each product is the per-pair reference, since a * b is the kernel of dot
