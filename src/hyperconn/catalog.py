@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from types import MappingProxyType
 
 from .polycore import GaussianRational, Polynomial
@@ -92,8 +92,10 @@ class SphereLineBundle:
     square_defect: MatrixA
 
 
+@lru_cache(maxsize=1)
 def _fermat_ring(a: int, b: int, c: int) -> QuotientRing:
-    """The quotient ring of x^a + y^b + z^c - 1."""
+    """The quotient ring of x^a + y^b + z^c - 1. The last one made is kept, so
+    a verify's build, goldens and sphere displays share one ring object."""
     return QuotientRing(_poly((1, a, 0, 0), (1, 0, b, 0), (1, 0, 0, c), (-1, 0, 0, 0)))
 
 
@@ -379,10 +381,11 @@ def _sphere_expected(check_id: str, p: int, q: int, r: int):
 def reference_expected(example_id: str, check_id: str, p: int, q: int, r: int):
     """Transcribed expected value for a named check of an example family.
 
-    Returns a matrix, vector, or ring element over a ring content-equal to
-    the example's own, so results compare directly. Raises KeyError for an
-    unknown id and ValueError when a display id is requested at parameters
-    the displays do not cover.
+    Returns a matrix, vector, or ring element over the example's own ring,
+    the object its build made while that modulus is the last one built (the
+    sphere's displays keep the ring of their first build), so results
+    compare directly. Raises KeyError for an unknown id and ValueError when
+    a display id is requested at parameters the displays do not cover.
     """
     if example_id == "ellipsoid":
         _check_parameters(p, q, r, 2)

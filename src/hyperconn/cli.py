@@ -152,7 +152,7 @@ class _Context:
         self.example = example
         self.family = _FAMILIES[example]
         self.params = (p, q, r)
-        self.ex = self.family.build(p, q, r)
+        self.ex = getattr(catalog, self.family.build)(p, q, r)
         self.pres = self.ex.presentation
         self._curvature: dict = {}
         self._applied: dict = {}
@@ -316,7 +316,7 @@ _SPHERE_ROWS = (
 class _Family:
     """One example: its builder, check table and report notes."""
 
-    build: object  # reaches the catalog builder by name, so a patched binding is used
+    build: str  # the catalog builder's name, looked up when called, so a patched binding is used
     minimum: int  # smallest allowed p, q, r
     label: str  # derivation prefix in the curvature block
     rows: tuple  # (name, check) in report order; check(ctx) -> (status, witness)
@@ -327,14 +327,14 @@ class _Family:
 
 _FAMILIES = {
     "ellipsoid": _Family(
-        lambda p, q, r: catalog.build_ellipsoid_cotangent(p, q, r),
+        "build_ellipsoid_cotangent",
         2,
         "d",
         _ELLIPSOID_ROWS,
         ("point checks evaluate at the on-surface point (1, 0, 0)",),
     ),
     "sphere": _Family(
-        lambda p, q, r: catalog.build_sphere_line_bundle(p, q, r),
+        "build_sphere_line_bundle",
         1,
         "D",
         _SPHERE_ROWS,

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .polycore import GaussianRational, Polynomial
-from .matring import MatrixA
+from .matring import MatrixA, _wrap
 from .quotient import QuotientRing, RingElement
 
 
@@ -115,10 +115,7 @@ class Derivation:
         for name, image in zip(self.ring.names, self.images):
             if image.is_zero:
                 continue
-            text = str(image)
-            if "+" in text or "-" in text:
-                text = f"({text})"
-            pieces.append(f"{text}*d/d{name}")
+            pieces.append(f"{_wrap(str(image))}*d/d{name}")
         if not pieces:
             return "0"
         return " + ".join(pieces)

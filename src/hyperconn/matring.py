@@ -12,12 +12,23 @@ grid; it is exact and ample for the small matrices that occur here.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .polycore import GaussianRational
 from .quotient import QuotientRing, RingElement
 
 _COFACTOR_LIMIT = 6
+
+
+def _entrywise(op):
+    """The matrix operator that applies op to matching entries of two same-shape matrices."""
+    def method(self, other):
+        if not isinstance(other, MatrixA):
+            return NotImplemented
+        self._require_same_shape(other)
+        return MatrixA(self.ring, self.rows, self.cols, map(op, self.entries, other.entries))
+    return method
 
 
 class MatrixA:
@@ -100,27 +111,8 @@ class MatrixA:
     def __hash__(self):
         return hash((self.ring, self.rows, self.cols, self.entries))
 
-    def __add__(self, other):
-        if not isinstance(other, MatrixA):
-            return NotImplemented
-        self._require_same_shape(other)
-        return MatrixA(
-            self.ring,
-            self.rows,
-            self.cols,
-            [a + b for a, b in zip(self.entries, other.entries)],
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, MatrixA):
-            return NotImplemented
-        self._require_same_shape(other)
-        return MatrixA(
-            self.ring,
-            self.rows,
-            self.cols,
-            [a - b for a, b in zip(self.entries, other.entries)],
-        )
+    __add__ = _entrywise(operator.add)
+    __sub__ = _entrywise(operator.sub)
 
     def __neg__(self):
         return MatrixA(self.ring, self.rows, self.cols, [-a for a in self.entries])
@@ -138,16 +130,14 @@ class MatrixA:
             return self.scale(other)
         return NotImplemented
 
+    # a matrix on the left is handled by its own __mul__, so only scalars get here
+    __rmul__ = __mul__
+
     def _product_entries(self, other: "MatrixA"):
         """self*other's entries, row-major, each formed when asked for (shapes unchecked)."""
         columns = [other.column(j) for j in range(other.cols)]
         return (self.ring.dot((a.rep, b.rep) for a, b in zip(self.row(i), column))
                 for i in range(self.rows) for column in columns)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, RingElement)):
-            return self.scale(other)
-        return NotImplemented
 
     def scale(self, scalar) -> "MatrixA":
         scalar = self.ring.element(scalar)
@@ -168,30 +158,25 @@ class MatrixA:
             total = total + self.entries[i * self.cols + i]
         return total
 
-    def determinant(self) -> RingElement:
+    def _require_cofactor(self, what: str):
         if not self.is_square:
-            raise ValueError("determinant requires a square matrix")
+            raise ValueError(f"{what} requires a square matrix")
         if self.rows > _COFACTOR_LIMIT:
             raise ValueError(f"cofactor expansion is limited to n <= {_COFACTOR_LIMIT}")
+
+    def determinant(self) -> RingElement:
+        self._require_cofactor("determinant")
         grid = [[[e] for e in self.row(i)] for i in range(self.rows)]
         return _det_cofactor_tpoly(self.ring, grid)[0]
 
     def char_poly(self) -> "CharPoly":
         """Coefficients of det(tI - self), degree n first; always monic."""
-        if not self.is_square:
-            raise ValueError("characteristic polynomial requires a square matrix")
-        if self.rows > _COFACTOR_LIMIT:
-            raise ValueError(f"cofactor expansion is limited to n <= {_COFACTOR_LIMIT}")
+        self._require_cofactor("characteristic polynomial")
         ring = self.ring
         one, zero = ring.one(), ring.zero()
         # entries of tI - g as coefficient lists in t, constant term first
-        grid = []
-        for i in range(self.rows):
-            row = []
-            for j in range(self.cols):
-                e = self.entries[i * self.cols + j]
-                row.append([-e, one] if i == j else [-e])
-            grid.append(row)
+        grid = [[[-e, one] if i == j else [-e] for j, e in enumerate(self.row(i))]
+                for i in range(self.rows)]
         coeffs = _det_cofactor_tpoly(ring, grid)
         coeffs = coeffs + [zero] * (self.rows + 1 - len(coeffs))
         return CharPoly(ring, tuple(reversed(coeffs)))

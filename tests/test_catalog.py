@@ -279,7 +279,7 @@ def test_reference_expected_errors():
 def test_reference_rings_interoperate():
     ex = build_ellipsoid_cotangent(2, 3, 4)
     expected = reference_expected("ellipsoid", "M", 2, 3, 4)
-    assert expected.ring == ex.ring
+    assert expected.ring is ex.ring
     assert (ex.presentation.phi - expected).is_zero
 
 

@@ -430,6 +430,24 @@ def test_sphere_reference_table_is_built_once(monkeypatch):
     assert counts[2][0] == 231
 
 
+@pytest.mark.parametrize("example, triple", [("ellipsoid", (2, 3, 4)), ("sphere", (1, 1, 1))])
+def test_verification_builds_one_ring(monkeypatch, example, triple):
+    # the build, the goldens and (cold) the sphere's display table share the
+    # ring of the last modulus built; 12 and 2 rings when each made its own
+    made = []
+    original_init = QuotientRing.__init__
+
+    def counting_init(self, modulus):
+        made.append(modulus)
+        original_init(self, modulus)
+
+    monkeypatch.setattr(QuotientRing, "__init__", counting_init)
+    catalog._fermat_ring.cache_clear()
+    catalog._sphere_displays.cache_clear()
+    run_verification(example, *triple)
+    assert len(made) == 1
+
+
 @pytest.mark.parametrize(
     "arguments, code",
     [

@@ -17,6 +17,7 @@ from hyperconn import (
     build_ellipsoid_cotangent,
     build_sphere_line_bundle,
     commutator,
+    conn,
     connection_apply,
     connection_matrix,
     curvature_matrix,
@@ -367,3 +368,13 @@ def test_curvature_matrix_names_the_kernel_witness():
     assert str(info.value) == (
         f"curvature does not annihilate the kernel generator: C*k = {witness}"
     )
+
+
+def test_curvature_report_refuses_a_commutator_with_nonzero_trace(monkeypatch):
+    # the image and kernel traces of the identity add up to its trace 2, so
+    # only the check that the commutator's trace is zero can refuse it; the
+    # sphere has no kernel generator, so curvature_matrix checks nothing more
+    ex = build_sphere_line_bundle(1, 1, 1)
+    monkeypatch.setattr(conn, "commutator", lambda a, b: MatrixA.identity(a.ring, a.rows))
+    with pytest.raises(PresentationError, match="trace split"):
+        curvature_report(ex.presentation, *ex.derivations[:2], "D1", "D2")

@@ -6,8 +6,14 @@ imports it.
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
+import io
+import json
+from pathlib import Path
 from random import Random
 
+import pytest
 import sympy as sp
 
 from hyperconn import (
@@ -21,6 +27,7 @@ from hyperconn import (
     reference_expected,
     trace_over_image,
 )
+from hyperconn.cli import main
 from helpers import (
     nonzero_polynomial,
     random_gaussian,
@@ -217,3 +224,36 @@ def test_sphere_traces_rederived_with_sympy():
         golden = reference_expected("sphere", f"trace-{tag}-image", 1, 1, 1)
         assert divisible(to_sympy(ours.rep) - expected_traces[tag], f)
         assert divisible(to_sympy(golden.rep) - expected_traces[tag], f)
+
+
+def _load_oracle_sweep():
+    path = Path(__file__).resolve().parent.parent / "tools" / "oracle_sweep.py"
+    spec = importlib.util.spec_from_file_location("oracle_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle_sweep = _load_oracle_sweep()
+
+
+@pytest.mark.parametrize(
+    "example, triple",
+    [("ellipsoid", (2, 3, 4)), ("ellipsoid", (4, 2, 3)), ("ellipsoid", (4, 4, 4)),
+     ("sphere", (1, 1, 1)), ("sphere", (2, 1, 2))],
+)
+def test_printed_curvature_block_matches_sympy_rebuild(example, triple):
+    # tools/oracle_sweep.py rebuilds the example from its definition in sympy
+    # and reduces by the Groebner basis {f}, whose remainders are unique
+    p, q, r = triple
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", example, "--p", str(p), "--q", str(q), "--r", str(r), "--json"])
+    assert code == 0
+    mismatches, compared = oracle_sweep.check_report(json.loads(out.getvalue()))
+    assert mismatches == []
+    n = 3 if example == "ellipsoid" else 2
+    assert compared["commutator entries"] == 3 * n * n
+    assert compared["traces"] == 6
+    assert compared["flat bits"] == 3
+    assert compared["witness entries"] == (9 if example == "ellipsoid" else 0)
