@@ -138,10 +138,6 @@ def check_report(report: dict) -> tuple[list[str], Counter]:
     return mismatches, compared
 
 
-def _reports(document: dict) -> list[dict]:
-    return document["reports"] if "reports" in document else [document]
-
-
 def main(argv=None) -> int:
     paths = sys.argv[1:] if argv is None else list(argv)
     if not paths:
@@ -157,12 +153,12 @@ def main(argv=None) -> int:
             else:
                 with open(path, encoding="utf-8") as handle:
                     document = json.load(handle)
-            for report in _reports(document):
+            for report in document.get("reports", [document]):  # sweep or verify
                 found, counts = check_report(report)
                 mismatches += found
                 compared += counts
                 reports += 1
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             print(f"error: {path}: {exc!r}", file=sys.stderr)
             return 2
     for line in mismatches:
