@@ -9,11 +9,24 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from hyperconn.cli import main
+
+
+def _prime_denominator_dividend() -> str:
+    """240 terms of degree at most 10 whose coefficients (k + (k mod 5)*i)/p
+    have the first 240 primes p as their denominators."""
+    primes = (n for n in range(2, 2000) if all(n % k for k in range(2, int(n**0.5) + 1)))
+    monomials = [m for m in product(range(11), repeat=3) if sum(m) <= 10]
+    terms = []
+    for k, (p, m) in enumerate(zip(islice(primes, 240), monomials), 1):
+        powers = "".join(f"*{v}^{e}" if e > 1 else f"*{v}" for v, e in zip("xyz", m) if e)
+        terms.append(f"({k}+{k % 5}*i)/{p}{powers}")
+    return "+".join(terms)
+
 
 PINNED = [
     (
@@ -67,10 +80,35 @@ PINNED = [
          "+(2/9+7/4*i)*x", "mod", "x^2+y^2+z^2-1"],
         "105404b080304cf3198c77945297e3525ef628f50425715d05c700371c3f9bad",
     ),
+    # the leading coefficient is a unit other than 1
+    (
+        ["eval", "(x+y+z)^30", "mod", "i*x^2+y^2+z^2-1"],
+        "aa92b6dc735386dfadca158b05c1088877d0b25b853881c320568293c0f9588f",
+    ),
+    # a leading coefficient that is no unit, over a Gaussian-integer -f/lc tail
+    (
+        ["eval", "(x+y+z)^30", "mod", "2*x^2+4*y^2+2*z^2-2"],
+        "27d10120501da6b827dedeefcb072e8ea423f30ffa7df7ce43dfb521ad833771",
+    ),
+    # -f/lc has a denominator
+    (
+        ["eval", "(x+y+z)^30", "mod", "2*x^2+y^2+z^2-1"],
+        "20972913b8d471ab04924edea3abaa4f6e70467ad204cdd20f3f802ccecb388a",
+    ),
+    # the dividend is over the product of 240 primes
+    (
+        ["eval", _prime_denominator_dividend(), "mod", "x^2+y^2+z^2-1"],
+        "35807c09673cf058b47a978b20e35549ac0eb4ea8e5ef59f89869a09740fad00",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED, ids=[" ".join(a) for a, _ in PINNED])
+def _test_id(argv) -> str:
+    """The argv as one line, with an operand of over 200 characters shortened."""
+    return " ".join(a if len(a) <= 200 else f"{a[:40]}...({len(a)} chars)" for a in argv)
+
+
+@pytest.mark.parametrize("argv, digest", PINNED, ids=[_test_id(a) for a, _ in PINNED])
 def test_output_digest(argv, digest):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
