@@ -18,7 +18,8 @@ computation, confirmed independently with a second computer algebra
 system. The "trace-*-image" ids are likewise second-system-confirmed
 values, stored as data with the printed counterparts kept alongside. The
 sphere's displays and traces cover (1, 1, 1) only; they are one table,
-built the first time a process reads it.
+built the first time a process reads it, and a value read from it is put
+over the verify's own ring.
 """
 
 from __future__ import annotations
@@ -375,16 +376,27 @@ def _sphere_expected(check_id: str, p: int, q: int, r: int):
         raise KeyError(f"unknown check id {check_id!r} for example 'sphere'")
     if (p, q, r) != (1, 1, 1):
         raise ValueError(f"no display is given for parameters {(p, q, r)}; only (1, 1, 1)")
-    return displays[check_id]
+    return _over(displays[check_id], _fermat_ring(2, 2, 2))
+
+
+def _over(value, ring: QuotientRing):
+    """A display over ring, the ring object of the verify reading it. The
+    table keeps the ring of its build; a later equal ring takes the same
+    normal forms, so nothing is reduced again."""
+    if value.ring is ring:
+        return value
+    if isinstance(value, MatrixA):
+        return MatrixA(ring, value.rows, value.cols,
+                       [RingElement(ring, e.rep) for e in value.entries])
+    return RingElement(ring, value.rep)
 
 
 def reference_expected(example_id: str, check_id: str, p: int, q: int, r: int):
     """Transcribed expected value for a named check of an example family.
 
     Returns a matrix, vector, or ring element over the example's own ring,
-    the object its build made while that modulus is the last one built (the
-    sphere's displays keep the ring of their first build), so results
-    compare directly. Raises KeyError for an unknown id and ValueError when
+    the object its build made while that modulus is the last one built, so
+    results compare directly. Raises KeyError for an unknown id and ValueError when
     a display id is requested at parameters the displays do not cover.
     """
     if example_id == "ellipsoid":

@@ -12,8 +12,12 @@ does the same over its compositions.
 Polynomials are sparse maps from monomials, which are plain exponent
 tuples, to nonzero coefficients, so equality is equality of term maps. A
 graded reverse lexicographic order fixes leading terms and makes division
-remainders canonical. A small recursive-descent parser round-trips the
-canonical text form.
+remainders canonical. Division by f (`divide_remainder`) has two step
+loops, chosen by f alone: when -f/lc has Gaussian-integer coefficients, as
+for any monic f over Z[i], the dividend is lifted once to Gaussian-integer
+numerators over one denominator and each output coefficient is normalised
+once; any other f is divided over Q(i), with a division by lc per step. A
+small recursive-descent parser round-trips the canonical text form.
 """
 
 from __future__ import annotations
@@ -130,10 +134,10 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
         if not isinstance(other, GaussianRational):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GaussianRational(other)
         # (a + b*i)/d divided by (c + e*i)/f is (a + b*i)(c - e*i)*f / (d*(c^2 + e^2))
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
@@ -189,8 +193,12 @@ def _gaussian(a: int, b: int, d: int) -> GaussianRational:
     if d != 1:
         g = gcd(a, b, d)
         if g != 1:
-            return _exact(a // g, b // g, d // g)
-    return _exact(a, b, d)
+            a, b, d = a // g, b // g, d // g
+    z = _new(GaussianRational)  # _exact, inlined: this runs once per coefficient made
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
 
 
 GaussianRational.ZERO = GaussianRational(0)
@@ -572,8 +580,17 @@ def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomi
     the lead, so deg f <= D), so with M = 2^D.bit_length() and
     top = M^(n-1), key(e) = top*deg(e) - sum e[k]*M^(k-1) over k >= 1.
 
-    A zero p, or a p with no term divisible by the lead, builds no heap. The
-    lead is found per call, not per ring: the traced benchmark needs calls of
+    A zero p, or a p with no term divisible by the lead, builds no heap: it
+    is its own remainder, copied in grevlex order when it has two terms or
+    more. Otherwise the tail of -f/lc is formed, one division per term. When
+    every tail coefficient is a Gaussian integer, as for any monic f over
+    Z[i], p is lifted once to Gaussian-integer numerators over the lcm d of
+    its denominators, and each quotient and remainder coefficient is
+    normalised once, when it leaves the work; a quotient one is divided by
+    lc only when lc is not a unit. Any other f, such as 2x^2 + y^2 + z^2 - 1,
+    takes the same steps over Q(i) in `_reduce_rational`, dividing by lc at
+    each one. Both give the same terms in the same order. The lead is found
+    per call, not per ring: the traced benchmark needs calls of
     `MonomialOrder.key` on dense-shifted, which builds its rings in set-up.
     """
     if f.is_zero:
@@ -581,27 +598,92 @@ def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomi
     p._require_same_names(f)
     terms = p._terms
     if not terms:
-        return Polynomial._raw(p.names, {}), Polynomial._raw(p.names, {})
+        return Polynomial._raw(p.names, {}), p
     lead = f.leading_monomial()
     if not any(all(map(ge, e, lead)) for e in terms):
-        remainder = {e: terms[e] for e in sorted(terms, key=_heap_key)}
-        return Polynomial._raw(p.names, {}), Polynomial._raw(p.names, remainder)
+        if len(terms) > 1:  # one term is in order already
+            p = Polynomial._raw(p.names, {e: terms[e] for e in sorted(terms, key=_heap_key)})
+        return Polynomial._raw(p.names, {}), p
     lc = f._terms[lead]
     size = 1 << max(map(sum, terms)).bit_length()
     top = size ** (len(lead) - 1)
     weights = [top] + [top - size ** k for k in range(len(lead) - 1)]
     klead = sum(map(mul, lead, weights))
-    tail = [(sum(map(mul, fe, weights)) - klead, fe, -fc)
+    # A tail entry (key(fe) - key(lead), fe, ...) takes t*lead to t*fe.
+    # The heap holds negated keys; monomial maps each key met to its
+    # exponents. A heap entry whose monomial has left the work is stale and
+    # skipped (it was pushed again if it came back). Tail products are below
+    # the popped monomial, so pops come in strictly decreasing order.
+    tail = [(sum(map(mul, fe, weights)) - klead, fe, fc / lc)
             for fe, fc in f._terms.items() if fe != lead]
-    # work and the min-heap hold negated keys; monomial maps each key met to
-    # its exponents. A tail entry (key(fe) - key(lead), fe, -fc) takes t*lead
-    # to t*fe. A heap entry whose monomial has left work is stale and skipped
-    # (it was pushed again if it came back). Tail products are below the
-    # popped monomial, so pops come in strictly decreasing order.
     monomial = {-sum(map(mul, e, weights)): e for e in terms}
-    work = dict(zip(monomial, terms.values()))
-    heap = list(work)
+    heap = list(monomial)
     heapify(heap)
+    # (dk, fe, ga, gb) with -fc/lc = ga + gb*i, for a Gaussian-integer -fc/lc
+    integral = [(dk, fe, -g._a, -g._b) for dk, fe, g in tail if g._d == 1]
+    if len(integral) < len(tail):
+        return _reduce_rational(p, f, lead, tail, monomial, heap)
+    # the work holds numerators (a, b) over d; a popped one is final
+    values = terms.values()
+    d = lcm(*[c._d for c in values])
+    if d == 1:
+        work = dict(zip(monomial, [(c._a, c._b) for c in values]))
+    else:
+        work = {k: (c._a * (s := d // c._d), c._b * s) for k, c in zip(monomial, values)}
+    u, v = lc._a, lc._b
+    unit = lc._d == 1 and u * u + v * v == 1  # then 1/lc is u - v*i
+    # A monomial below lead's largest exponent emax, in its variable vmax, is
+    # no multiple of lead; most pops are turned away by that one comparison.
+    emax = max(lead)
+    vmax = lead.index(emax)
+    quotient, remainder = {}, {}
+    get = work.get
+    while heap:
+        k = heappop(heap)
+        c = work.pop(k, None)
+        if c is None:
+            continue
+        exps = monomial[k]
+        if exps[vmax] >= emax and all(map(ge, exps, lead)):
+            t = tuple(map(sub, exps, lead))
+            a, b = c
+            if not unit:
+                quotient[t] = _gaussian(a, b, d) / lc
+            elif v or u != 1:
+                quotient[t] = _gaussian(a * u + b * v, b * u - a * v, d)
+            else:
+                quotient[t] = _gaussian(a, b, d)
+            for dk, fe, ga, gb in integral:
+                mk = k - dk
+                if gb:
+                    re, im = a * ga - b * gb, a * gb + b * ga
+                else:
+                    re, im = a * ga, b * ga
+                acc = get(mk)
+                if acc is None:
+                    work[mk] = (re, im)
+                    heappush(heap, mk)
+                    if mk not in monomial:
+                        monomial[mk] = tuple(map(add, t, fe))
+                else:
+                    re += acc[0]
+                    im += acc[1]
+                    if re or im:
+                        work[mk] = (re, im)
+                    else:
+                        del work[mk]
+        else:
+            remainder[exps] = _gaussian(c[0], c[1], d)
+    return Polynomial._raw(p.names, quotient), Polynomial._raw(p.names, remainder)
+
+
+def _reduce_rational(p, f, lead, tail, monomial, heap) -> tuple[Polynomial, Polynomial]:
+    """divide_remainder's steps over Q(i), for an f whose -f/lc has a
+    coefficient with a denominator: each step divides by lc and multiplies
+    by the coefficients -fc of the tail."""
+    lc = f._terms[lead]
+    tail = [(dk, fe, -f._terms[fe]) for dk, fe, _ in tail]
+    work = dict(zip(monomial, p._terms.values()))
     quotient: dict[tuple, GaussianRational] = {}
     remainder: dict[tuple, GaussianRational] = {}
     while heap:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice, product
 from pathlib import Path
 from random import Random
 
@@ -34,6 +35,18 @@ def run_cli(*args, timeout=None):
         env=child_env(),
         timeout=timeout,
     )
+
+
+def prime_denominator_dividend() -> str:
+    """Text of 240 terms of degree at most 10 whose coefficients
+    (k + (k mod 5)*i)/p have the first 240 primes p as their denominators."""
+    primes = (n for n in range(2, 2000) if all(n % k for k in range(2, int(n**0.5) + 1)))
+    monomials = [m for m in product(range(11), repeat=3) if sum(m) <= 10]
+    terms = []
+    for k, (p, m) in enumerate(zip(islice(primes, 240), monomials), 1):
+        powers = "".join(f"*{v}^{e}" if e > 1 else f"*{v}" for v, e in zip("xyz", m) if e)
+        terms.append(f"({k}+{k % 5}*i)/{p}{powers}")
+    return "+".join(terms)
 
 
 def random_fraction(rng: Random, span: int = 6) -> Fraction:

@@ -432,8 +432,8 @@ def test_sphere_reference_table_is_built_once(monkeypatch):
 
 @pytest.mark.parametrize("example, triple", [("ellipsoid", (2, 3, 4)), ("sphere", (1, 1, 1))])
 def test_verification_builds_one_ring(monkeypatch, example, triple):
-    # the build, the goldens and (cold) the sphere's display table share the
-    # ring of the last modulus built; 12 and 2 rings when each made its own
+    # the build, the goldens and the sphere's display table share the ring of
+    # the last modulus built; 12 and 2 rings when each made its own
     made = []
     original_init = QuotientRing.__init__
 
@@ -446,6 +446,20 @@ def test_verification_builds_one_ring(monkeypatch, example, triple):
     catalog._sphere_displays.cache_clear()
     run_verification(example, *triple)
     assert len(made) == 1
+
+
+def test_sphere_displays_follow_the_verify_ring():
+    # after another modulus, the sphere's ring is a new object, equal to the
+    # old one; the displays the verify reads are over the new one
+    catalog._fermat_ring.cache_clear()
+    cold = cli._Context("sphere", 1, 1, 1)
+    assert cold.expected("d1M").ring is cold.ex.ring
+    cli._Context("ellipsoid", 2, 3, 4)
+    warm = cli._Context("sphere", 1, 1, 1)
+    assert warm.ex.ring is not cold.ex.ring and warm.ex.ring == cold.ex.ring
+    for check_id in ("d1M", "R23-corrected", "trace-12-image"):
+        assert warm.expected(check_id).ring is warm.ex.ring
+    assert cold.expected("d1M") == warm.expected("d1M")
 
 
 @pytest.mark.parametrize(

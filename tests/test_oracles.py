@@ -30,6 +30,7 @@ from hyperconn import (
 from hyperconn.cli import main
 from helpers import (
     nonzero_polynomial,
+    prime_denominator_dividend,
     random_gaussian,
     random_matrix,
     random_polynomial,
@@ -257,3 +258,30 @@ def test_printed_curvature_block_matches_sympy_rebuild(example, triple):
     assert compared["traces"] == 6
     assert compared["flat bits"] == 3
     assert compared["witness entries"] == (9 if example == "ellipsoid" else 0)
+
+
+# One modulus of each shape divide_remainder tells apart: a unit leading
+# coefficient other than 1, a leading coefficient that is no unit over a
+# Gaussian-integer tail of -f/lc, a tail of -f/lc with a denominator, and a
+# monic modulus under a dividend over the first 240 primes as denominators.
+EVAL_ORACLE_CASES = [
+    ("(x+y+z)^12", "i*x^2+y^2+z^2-1", sp.QQ_I),
+    ("(x+y+z)^12", "2*x^2+4*y^2+2*z^2-2", sp.QQ),
+    ("(x+y+z)^12", "2*x^2+y^2+z^2-1", sp.QQ),
+    (prime_denominator_dividend(), "x^2+y^2+z^2-1", sp.QQ_I),
+]
+
+
+@pytest.mark.parametrize("dividend, modulus, domain", EVAL_ORACLE_CASES,
+                         ids=["unit-lead", "non-unit-lead", "rational-tail", "prime-denominators"])
+def test_eval_remainder_matches_sympy_reduced(dividend, modulus, domain):
+    # {f} is a Groebner basis, so the grevlex remainder is unique and the
+    # printed normal form must equal sympy's as a value
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["eval", dividend, "mod", modulus])
+    assert code == 0
+    parse_text = oracle_sweep._parse
+    _, remainder = sp.reduced(sp.expand(parse_text(dividend)), [parse_text(modulus)], *SYMS,
+                              order="grevlex", domain=domain)
+    assert sp.expand(parse_text(out.getvalue()) - remainder) == 0

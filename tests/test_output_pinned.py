@@ -9,23 +9,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-from itertools import islice, product
+from itertools import product
 
 import pytest
 
 from hyperconn.cli import main
-
-
-def _prime_denominator_dividend() -> str:
-    """240 terms of degree at most 10 whose coefficients (k + (k mod 5)*i)/p
-    have the first 240 primes p as their denominators."""
-    primes = (n for n in range(2, 2000) if all(n % k for k in range(2, int(n**0.5) + 1)))
-    monomials = [m for m in product(range(11), repeat=3) if sum(m) <= 10]
-    terms = []
-    for k, (p, m) in enumerate(zip(islice(primes, 240), monomials), 1):
-        powers = "".join(f"*{v}^{e}" if e > 1 else f"*{v}" for v, e in zip("xyz", m) if e)
-        terms.append(f"({k}+{k % 5}*i)/{p}{powers}")
-    return "+".join(terms)
+from helpers import prime_denominator_dividend
 
 
 PINNED = [
@@ -97,7 +86,7 @@ PINNED = [
     ),
     # the dividend is over the product of 240 primes
     (
-        ["eval", _prime_denominator_dividend(), "mod", "x^2+y^2+z^2-1"],
+        ["eval", prime_denominator_dividend(), "mod", "x^2+y^2+z^2-1"],
         "35807c09673cf058b47a978b20e35549ac0eb4ea8e5ef59f89869a09740fad00",
     ),
 ]

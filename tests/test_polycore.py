@@ -42,9 +42,36 @@ exponent_vectors = st.tuples(*[st.integers(0, 4)] * len(NAMES))
 polynomials = st.dictionaries(exponent_vectors, gaussians, max_size=10).map(
     lambda terms: Polynomial(NAMES, terms)
 )
-divisors = st.dictionaries(exponent_vectors, nonzero_gaussians, min_size=1, max_size=4).map(
-    lambda terms: Polynomial(NAMES, terms)
+rational_divisors = st.dictionaries(
+    exponent_vectors, nonzero_gaussians, min_size=1, max_size=4
+).map(lambda terms: Polynomial(NAMES, terms))
+# Leading coefficients of divisors whose -f/lc has Gaussian-integer
+# coefficients: the four units and two that are not units.
+INTEGRAL_LEADS = tuple(GaussianRational(*c) for c in ((1, 0), (-1, 0), (0, 1), (0, -1),
+                                                      (2, 0), (1, 1)))
+gaussian_integer_multipliers = st.builds(
+    GaussianRational, st.integers(-3, 3), st.integers(-3, 3)
+).filter(bool)
+
+
+def integral_divisor(names, monomials, lc, multipliers):
+    """lc at the grevlex-largest of monomials and lc*g at the others, so that
+    every coefficient -g of -f/lc is a Gaussian integer."""
+    lead = max(monomials, key=MonomialOrder().key)
+    tail = [m for m in monomials if m != lead]
+    return Polynomial(names, {lead: lc, **{m: lc * g for m, g in zip(tail, multipliers)}})
+
+
+integral_divisors = st.builds(
+    integral_divisor,
+    st.just(NAMES),
+    st.lists(exponent_vectors, min_size=1, max_size=4, unique=True),
+    st.sampled_from(INTEGRAL_LEADS),
+    st.lists(gaussian_integer_multipliers, min_size=3, max_size=3),
 )
+# Nearly every rational divisor takes divide_remainder's Q(i) loop and every
+# integral one its loop on Gaussian-integer numerators.
+divisors = st.one_of(rational_divisors, integral_divisors)
 
 
 def divides(m, n):
@@ -563,10 +590,11 @@ STRADDLING_DEGREES = sorted({2**k + d for k in range(1, 9) for d in (-1, 0)} | {
 
 
 @st.composite
-def straddling_divisions(draw):
+def straddling_divisions(draw, integral):
     """(p, f) in 1 to 4 variables with deg p a key-base boundary: f's terms
     are 2 to 4 degrees lower, and p mixes multiples of f's lead with other
-    terms, so a reduction takes at most a few dozen steps."""
+    terms, so a reduction takes at most a few dozen steps. With integral,
+    -f/lc has Gaussian-integer coefficients."""
     arity = draw(st.integers(1, 4))
     top = draw(st.sampled_from(STRADDLING_DEGREES))
 
@@ -576,8 +604,14 @@ def straddling_divisions(draw):
         return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
 
     names = ("w", "x", "y", "z")[:arity]
-    f = Polynomial(names, {monomial(max(0, top - draw(st.integers(2, 4)))): draw(nonzero_gaussians)
-                           for _ in range(draw(st.integers(1, 3)))})
+    if integral:
+        monomials = list({monomial(max(0, top - draw(st.integers(2, 4)))): None
+                          for _ in range(draw(st.integers(1, 3)))})
+        f = integral_divisor(names, monomials, draw(st.sampled_from(INTEGRAL_LEADS)),
+                             draw(st.lists(gaussian_integer_multipliers, min_size=2, max_size=2)))
+    else:
+        f = Polynomial(names, {monomial(max(0, top - draw(st.integers(2, 4)))):
+                               draw(nonzero_gaussians) for _ in range(draw(st.integers(1, 3)))})
     lead = f.leading_monomial()
     multiples = [top] + draw(st.lists(st.integers(sum(lead), top), max_size=2))
     p_terms = {tuple(map(add, lead, monomial(d - sum(lead)))): draw(nonzero_gaussians)
@@ -588,7 +622,7 @@ def straddling_divisions(draw):
 
 
 @PROPERTY
-@given(straddling_divisions())
+@given(st.one_of(straddling_divisions(integral=False), straddling_divisions(integral=True)))
 @example((parse("x^128*y^127+y^255"), parse("x*y-z^2")))  # D = 255: base 256
 @example((parse("x^128*y^128+z^256"), parse("x*y-z^2")))  # D = 256: base 512
 @example((Polynomial(("x",), {(256,): 1, (255,): 2}), Polynomial(("x",), {(254,): 3, (0,): 1})))
