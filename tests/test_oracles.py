@@ -260,20 +260,25 @@ def test_printed_curvature_block_matches_sympy_rebuild(example, triple):
     assert compared["witness entries"] == (9 if example == "ellipsoid" else 0)
 
 
-# One modulus of each shape divide_remainder tells apart: a unit leading
-# coefficient other than 1, a leading coefficient that is no unit over a
-# Gaussian-integer tail of -f/lc, a tail of -f/lc with a denominator, and a
-# monic modulus under a dividend over the first 240 primes as denominators.
+# One modulus of each coefficient shape: a unit leading coefficient other
+# than 1, a leading coefficient that is no unit over a Gaussian-integer tail
+# of -f/lc, a tail of -f/lc with one denominator and with several, a
+# non-real leading coefficient that is no unit under a dividend with
+# denominators, and a monic modulus under a dividend over the first 240
+# primes as denominators.
 EVAL_ORACLE_CASES = [
     ("(x+y+z)^12", "i*x^2+y^2+z^2-1", sp.QQ_I),
     ("(x+y+z)^12", "2*x^2+4*y^2+2*z^2-2", sp.QQ),
     ("(x+y+z)^12", "2*x^2+y^2+z^2-1", sp.QQ),
+    ("(x+y+z)^12", "6*x^2+2*y^2+3*z^2-1", sp.QQ),
+    ("(x/3+i*y+z/2)^12", "(1+2*i)*x^2+y^2+z^2-1", sp.QQ_I),
     (prime_denominator_dividend(), "x^2+y^2+z^2-1", sp.QQ_I),
 ]
 
 
 @pytest.mark.parametrize("dividend, modulus, domain", EVAL_ORACLE_CASES,
-                         ids=["unit-lead", "non-unit-lead", "rational-tail", "prime-denominators"])
+                         ids=["unit-lead", "non-unit-lead", "rational-tail", "several-denominators",
+                              "gaussian-non-unit-lead", "prime-denominators"])
 def test_eval_remainder_matches_sympy_reduced(dividend, modulus, domain):
     # {f} is a Groebner basis, so the grevlex remainder is unique and the
     # printed normal form must equal sympy's as a value

@@ -84,6 +84,17 @@ PINNED = [
         ["eval", "(x+y+z)^30", "mod", "2*x^2+y^2+z^2-1"],
         "20972913b8d471ab04924edea3abaa4f6e70467ad204cdd20f3f802ccecb388a",
     ),
+    # -f/lc has several denominators (2, 3 and 6)
+    (
+        ["eval", "(x+y+z)^30", "mod", "6*x^2+2*y^2+3*z^2-1"],
+        "e1925a9bea32e3cfae95250957c6476ce188bf581e8f8d71fb142ac6cdb477e7",
+    ),
+    # a non-real leading coefficient that is no unit, under a dividend with
+    # denominators
+    (
+        ["eval", "(x/3+i*y+z/2)^20", "mod", "(1+2*i)*x^2+y^2+z^2-1"],
+        "5465aebe2876d5f26f1a4605f279cec2e92071f66fdc4c31013a90e33053bf91",
+    ),
     # the dividend is over the product of 240 primes
     (
         ["eval", prime_denominator_dividend(), "mod", "x^2+y^2+z^2-1"],
