@@ -50,15 +50,19 @@ MAX_SWEEP = 20
 # at most d = deg p - deg f in the v variables that occur in p or f, so at
 # most C(d+v, v) terms, and each touches every term of f: C(d+v, v)*|f|
 # bounds the work before it runs. Measured on a 2-core x86-64 host with
-# Python 3.11, eval runs near the limit take 0.25 to 0.65 s, start-up
-# included (x^72 mod x^2+y^2+z^2-1, x^58 mod (x+y+z)^2-1). x^72 is accepted
-# and x^73 is refused; x^1000 mod x^2-1 (v = 1) is accepted.
-# Each reduction step multiplies by a coefficient of f and divides by its
-# leading one, so with b the bit length of f's largest coefficient integer
-# the coefficients grow to about d*b bits, and an update costs about
-# 1 + (d*b >> 11) updates on small ones (x^e mod N*x^2+y^2+z^2-1 with N of
-# 10 to 4,000 digits); the bound counts each update that many times. With
-# coefficients of +-1 (b = 1) the weight is 1 up to d = 2,047.
+# Python 3.11, eval runs near the limit with small coefficients take 0.08 to
+# 0.11 s, start-up included (x^72 mod x^2+y^2+z^2-1, x^58 mod (x+y+z)^2-1).
+# x^72 is accepted and x^73 is refused; x^1000 mod x^2-1 (v = 1) is accepted.
+# Each reduction step multiplies integer numerators by those of -f/lc over
+# the lcm of its denominators, and each step raises a denominator by that
+# lcm, so with b the bit length of f's largest coefficient integer the
+# coefficients grow to about d*b bits, and an update costs about
+# 1 + (d*b >> 11) updates on small ones; the bound counts each update that
+# many times. With coefficients of +-1 (b = 1) the weight is 1 up to
+# d = 2,047. The weight was fitted on one-term dividends (x^e mod
+# N*x^2+y^2+z^2-1 with N of 10 to 4,000 digits), and a many-term dividend
+# costs more: (x+y+z)^15 mod N*x^2+y^2+z^2-1 with a 4,000-digit N is
+# accepted and runs 2.35 s before it exits 2 at the print limit.
 MAX_EVAL_WORK = 250_000
 
 

@@ -12,12 +12,12 @@ does the same over its compositions.
 Polynomials are sparse maps from monomials, which are plain exponent
 tuples, to nonzero coefficients, so equality is equality of term maps. A
 graded reverse lexicographic order fixes leading terms and makes division
-remainders canonical. Division by f (`divide_remainder`) has two step
-loops, chosen by f alone: when -f/lc has Gaussian-integer coefficients, as
-for any monic f over Z[i], the dividend is lifted once to Gaussian-integer
-numerators over one denominator and each output coefficient is normalised
-once; any other f is divided over Q(i), with a division by lc per step. A
-small recursive-descent parser round-trips the canonical text form.
+remainders canonical. Division by f (`divide_remainder`) has one step
+loop: the dividend and the tail of -f/lc are each lifted once to
+Gaussian-integer numerators over one denominator, a step multiplies
+integers and scales a denominator, and each output coefficient is
+normalised once. A small recursive-descent parser round-trips the
+canonical text form.
 """
 
 from __future__ import annotations
@@ -343,10 +343,10 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Polynomial.constant(self.names, other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, GaussianRational)):
+                return NotImplemented
+            other = Polynomial.constant(self.names, other)
         return self.names == other.names and self._terms == other._terms
 
     def __hash__(self):
@@ -377,21 +377,21 @@ class Polynomial:
         return Polynomial._raw(self.names, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
+        if isinstance(other, Polynomial):
+            self._require_same_names(other)
+            if len(self._terms) == 1 or len(other._terms) == 1:
+                # no two pairs meet in one monomial, so there is nothing to add up
+                return Polynomial._raw(self.names, {
+                    tuple(map(add, m1, m2)): c1 * c2
+                    for m1, c1 in self._terms.items() for m2, c2 in other._terms.items()
+                })
+            return Polynomial._raw(self.names, _sum_of_products(((self, other),)))
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = _coerce_coeff(other)
             if not c:
                 return Polynomial._raw(self.names, {})
             return Polynomial._raw(self.names, {m: v * c for m, v in self._terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._require_same_names(other)
-        if len(self._terms) == 1 or len(other._terms) == 1:
-            # no two pairs meet in one monomial, so there is nothing to add up
-            return Polynomial._raw(self.names, {
-                tuple(map(add, m1, m2)): c1 * c2
-                for m1, c1 in self._terms.items() for m2, c2 in other._terms.items()
-            })
-        return Polynomial._raw(self.names, _sum_of_products(((self, other),)))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -582,16 +582,18 @@ def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomi
 
     A zero p, or a p with no term divisible by the lead, builds no heap: it
     is its own remainder, copied in grevlex order when it has two terms or
-    more. Otherwise the tail of -f/lc is formed, one division per term. When
-    every tail coefficient is a Gaussian integer, as for any monic f over
-    Z[i], p is lifted once to Gaussian-integer numerators over the lcm d of
-    its denominators, and each quotient and remainder coefficient is
-    normalised once, when it leaves the work; a quotient one is divided by
-    lc only when lc is not a unit. Any other f, such as 2x^2 + y^2 + z^2 - 1,
-    takes the same steps over Q(i) in `_reduce_rational`, dividing by lc at
-    each one. Both give the same terms in the same order. The lead is found
-    per call, not per ring: the traced benchmark needs calls of
-    `MonomialOrder.key` on dense-shifted, which builds its rings in set-up.
+    more. Otherwise the tail of -f/lc is formed, one division per term, and
+    lifted to Gaussian-integer numerators over the lcm dt of its
+    denominators; p is lifted to numerators over the lcm d of its own. A
+    work entry (a, b, e) is (a + b*i)/e: a step from an entry over e writes
+    its products over e*dt, which is multiplied out once for each e, so
+    every denominator met is d*dt^j, and where two entries meet, the one
+    over the smaller denominator is scaled up to the larger. Each quotient and remainder coefficient is normalised once,
+    when it leaves the work; a quotient one is divided by lc only when lc
+    is not a unit. With dt = 1, as for any monic f over Z[i], every entry
+    stays over d. The lead is found per call, not per ring: the traced
+    benchmark needs calls of `MonomialOrder.key` on dense-shifted, which
+    builds its rings in set-up.
     """
     if f.is_zero:
         raise ValueError("division by the zero polynomial")
@@ -609,27 +611,30 @@ def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomi
     top = size ** (len(lead) - 1)
     weights = [top] + [top - size ** k for k in range(len(lead) - 1)]
     klead = sum(map(mul, lead, weights))
-    # A tail entry (key(fe) - key(lead), fe, ...) takes t*lead to t*fe.
-    # The heap holds negated keys; monomial maps each key met to its
-    # exponents. A heap entry whose monomial has left the work is stale and
-    # skipped (it was pushed again if it came back). Tail products are below
-    # the popped monomial, so pops come in strictly decreasing order.
-    tail = [(sum(map(mul, fe, weights)) - klead, fe, fc / lc)
+    # A tail entry (key(fe) - key(lead), fe, ga, gb, dg) takes t*lead to
+    # t*fe, with -fc/lc = (ga + gb*i)/dg; then every entry is put over the
+    # lcm dt of the dg. The heap holds negated keys; monomial maps each key
+    # met to its exponents. A heap entry whose monomial has left the work is
+    # stale and skipped (it was pushed again if it came back). Tail products
+    # are below the popped monomial, so pops come in strictly decreasing order.
+    tail = [(sum(map(mul, fe, weights)) - klead, fe, -(g := fc / lc)._a, -g._b, g._d)
             for fe, fc in f._terms.items() if fe != lead]
+    dt = lcm(*[t[4] for t in tail])
+    if dt != 1:
+        tail = [(dk, fe, ga * (s := dt // dg), gb * s, dt) for dk, fe, ga, gb, dg in tail]
     monomial = {-sum(map(mul, e, weights)): e for e in terms}
     heap = list(monomial)
     heapify(heap)
-    # (dk, fe, ga, gb) with -fc/lc = ga + gb*i, for a Gaussian-integer -fc/lc
-    integral = [(dk, fe, -g._a, -g._b) for dk, fe, g in tail if g._d == 1]
-    if len(integral) < len(tail):
-        return _reduce_rational(p, f, lead, tail, monomial, heap)
-    # the work holds numerators (a, b) over d; a popped one is final
+    # The work holds (a, b, e) for (a + b*i)/e; a popped entry is final.
     values = terms.values()
     d = lcm(*[c._d for c in values])
     if d == 1:
-        work = dict(zip(monomial, [(c._a, c._b) for c in values]))
+        work = dict(zip(monomial, [(c._a, c._b, 1) for c in values]))
     else:
-        work = {k: (c._a * (s := d // c._d), c._b * s) for k, c in zip(monomial, values)}
+        work = {k: (c._a * (s := d // c._d), c._b * s, d) for k, c in zip(monomial, values)}
+    # e*dt for each denominator e met; many steps start from one d*dt^j,
+    # and with a large dt one product per step would double a step's cost
+    raised = {}
     u, v = lc._a, lc._b
     unit = lc._d == 1 and u * u + v * v == 1  # then 1/lc is u - v*i
     # A monomial below lead's largest exponent emax, in its variable vmax, is
@@ -644,16 +649,19 @@ def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomi
         if c is None:
             continue
         exps = monomial[k]
+        a, b, e = c
         if exps[vmax] >= emax and all(map(ge, exps, lead)):
             t = tuple(map(sub, exps, lead))
-            a, b = c
             if not unit:
-                quotient[t] = _gaussian(a, b, d) / lc
+                quotient[t] = _gaussian(a, b, e) / lc
             elif v or u != 1:
-                quotient[t] = _gaussian(a * u + b * v, b * u - a * v, d)
+                quotient[t] = _gaussian(a * u + b * v, b * u - a * v, e)
             else:
-                quotient[t] = _gaussian(a, b, d)
-            for dk, fe, ga, gb in integral:
+                quotient[t] = _gaussian(a, b, e)
+            ne = raised.get(e)
+            if ne is None:
+                ne = raised[e] = e * dt
+            for dk, fe, ga, gb, _ in tail:
                 mk = k - dk
                 if gb:
                     re, im = a * ga - b * gb, a * gb + b * ga
@@ -661,58 +669,27 @@ def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomi
                     re, im = a * ga, b * ga
                 acc = get(mk)
                 if acc is None:
-                    work[mk] = (re, im)
+                    work[mk] = (re, im, ne)
                     heappush(heap, mk)
                     if mk not in monomial:
                         monomial[mk] = tuple(map(add, t, fe))
                 else:
-                    re += acc[0]
-                    im += acc[1]
+                    ra, ia, ea = acc
+                    if ea != ne:  # d*dt^i and d*dt^j: scale the smaller side up
+                        if ea < ne:
+                            s = ne // ea
+                            ra, ia, ea = ra * s, ia * s, ne
+                        else:
+                            s = ea // ne
+                            re, im = re * s, im * s
+                    re += ra
+                    im += ia
                     if re or im:
-                        work[mk] = (re, im)
+                        work[mk] = (re, im, ea)
                     else:
                         del work[mk]
         else:
-            remainder[exps] = _gaussian(c[0], c[1], d)
-    return Polynomial._raw(p.names, quotient), Polynomial._raw(p.names, remainder)
-
-
-def _reduce_rational(p, f, lead, tail, monomial, heap) -> tuple[Polynomial, Polynomial]:
-    """divide_remainder's steps over Q(i), for an f whose -f/lc has a
-    coefficient with a denominator: each step divides by lc and multiplies
-    by the coefficients -fc of the tail."""
-    lc = f._terms[lead]
-    tail = [(dk, fe, -f._terms[fe]) for dk, fe, _ in tail]
-    work = dict(zip(monomial, p._terms.values()))
-    quotient: dict[tuple, GaussianRational] = {}
-    remainder: dict[tuple, GaussianRational] = {}
-    while heap:
-        k = heappop(heap)
-        c = work.pop(k, None)
-        if c is None:
-            continue
-        exps = monomial[k]
-        if all(map(ge, exps, lead)):
-            t = tuple(map(sub, exps, lead))
-            factor = c / lc
-            quotient[t] = factor
-            for dk, fe, fc in tail:
-                mk = k - dk
-                delta = factor * fc
-                acc = work.get(mk)
-                if acc is None:
-                    work[mk] = delta
-                    heappush(heap, mk)
-                    if mk not in monomial:
-                        monomial[mk] = tuple(map(add, t, fe))
-                else:
-                    s = acc + delta
-                    if s:
-                        work[mk] = s
-                    else:
-                        del work[mk]
-        else:
-            remainder[exps] = c
+            remainder[exps] = _gaussian(a, b, e)
     return Polynomial._raw(p.names, quotient), Polynomial._raw(p.names, remainder)
 
 

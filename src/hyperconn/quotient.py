@@ -152,8 +152,6 @@ class RingElement:
         return RingElement(self.ring, -self.rep)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return RingElement(self.ring, self.rep * other)
         if isinstance(other, RingElement):
             if other.ring != self.ring:
                 raise ValueError("elements belong to different rings")
@@ -162,6 +160,8 @@ class RingElement:
             if any(len(t) < 2 and not any(next(iter(t), ())) for t in (a.terms, b.terms)):
                 return RingElement(self.ring, a * b)
             return self.ring.nf(a * b)
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return RingElement(self.ring, self.rep * other)
         return NotImplemented
 
     __rmul__ = __mul__

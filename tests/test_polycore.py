@@ -69,8 +69,8 @@ integral_divisors = st.builds(
     st.sampled_from(INTEGRAL_LEADS),
     st.lists(gaussian_integer_multipliers, min_size=3, max_size=3),
 )
-# Nearly every rational divisor takes divide_remainder's Q(i) loop and every
-# integral one its loop on Gaussian-integer numerators.
+# Nearly every rational divisor has a -f/lc with denominators, which
+# divide_remainder's entries then carry, and every integral one has none.
 divisors = st.one_of(rational_divisors, integral_divisors)
 
 
@@ -626,6 +626,12 @@ def straddling_divisions(draw, integral):
 @example((parse("x^128*y^127+y^255"), parse("x*y-z^2")))  # D = 255: base 256
 @example((parse("x^128*y^128+z^256"), parse("x*y-z^2")))  # D = 256: base 512
 @example((Polynomial(("x",), {(256,): 1, (255,): 2}), Polynomial(("x",), {(254,): 3, (0,): 1})))
+# -f/lc over 6: an entry over a smaller denominator meets a product over a larger one
+@example((parse("(x+y+z)^6"), parse("6*x^2+2*y^2+3*z^2-1")))
+# and, found by random search, also an entry over a larger denominator meets
+# a product over a smaller one
+@example((parse("-x^5*y^4*z^5-x^4*y^3*z-x^3*y^4"),
+          parse("2*x^3*y^2*z+1/2*x^2*y^2*z^2+3*x^3*y^2+y*z^2")))
 def test_integer_key_division_matches_rescan_at_key_bases(case):
     p, f = case
     q, rem = divide_remainder(p, f)
