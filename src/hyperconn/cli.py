@@ -62,7 +62,7 @@ MAX_SWEEP = 20
 # d = 2,047. The weight was fitted on one-term dividends (x^e mod
 # N*x^2+y^2+z^2-1 with N of 10 to 4,000 digits), and a many-term dividend
 # costs more: (x+y+z)^15 mod N*x^2+y^2+z^2-1 with a 4,000-digit N is
-# accepted and runs 2.35 s before it exits 2 at the print limit.
+# accepted and runs 2.3 s before it exits 2 at the print limit.
 MAX_EVAL_WORK = 250_000
 
 
