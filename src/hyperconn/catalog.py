@@ -53,7 +53,12 @@ def _poly(*terms) -> Polynomial:
 _I = GaussianRational(0, 1)
 
 
-def _check_parameters(p: int, q: int, r: int, minimum: int):
+# the smallest p, q and r each family takes; the cli's bounds read it too
+MINIMUM = MappingProxyType({"ellipsoid": 2, "sphere": 1})
+
+
+def _check_parameters(example: str, p: int, q: int, r: int):
+    minimum = MINIMUM[example]
     for value in (p, q, r):
         if not isinstance(value, int) or value < minimum:
             raise ValueError(f"parameters must be integers >= {minimum}, got {(p, q, r)}")
@@ -108,7 +113,7 @@ def build_ellipsoid_cotangent(p: int, q: int, r: int) -> EllipsoidCotangent:
     idempotent and annihilates grad(f), the kernel generator dFvec; the
     derivations are the Koszul fields of f.
     """
-    _check_parameters(p, q, r, 2)
+    _check_parameters("ellipsoid", p, q, r)
     ring = _fermat_ring(p, q, r)
     grad = [ring.modulus.partial_derivative(k) for k in range(3)]
     euler = [Polynomial.variable(ring.names, k) * Fraction(1, w) for k, w in enumerate((p, q, r))]
@@ -122,7 +127,7 @@ def build_ellipsoid_cotangent(p: int, q: int, r: int) -> EllipsoidCotangent:
 
 def build_sphere_line_bundle(p: int, q: int, r: int) -> SphereLineBundle:
     """Build the line-bundle example; P^2 - I is verified and kept."""
-    _check_parameters(p, q, r, 1)
+    _check_parameters("sphere", p, q, r)
     ring = _fermat_ring(2 * p, 2 * q, 2 * r)
     # (2,1) entry is forced to y^q - i*z^r by P^2 = I; see reference_expected("sphere", "P-printed")
     involution = MatrixA.from_rows(
@@ -400,9 +405,9 @@ def reference_expected(example_id: str, check_id: str, p: int, q: int, r: int):
     a display id is requested at parameters the displays do not cover.
     """
     if example_id == "ellipsoid":
-        _check_parameters(p, q, r, 2)
+        _check_parameters("ellipsoid", p, q, r)
         return _ellipsoid_expected(check_id, p, q, r)
     if example_id == "sphere":
-        _check_parameters(p, q, r, 1)
+        _check_parameters("sphere", p, q, r)
         return _sphere_expected(check_id, p, q, r)
     raise KeyError(f"unknown example id {example_id!r}")

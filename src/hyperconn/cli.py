@@ -14,9 +14,10 @@ sphere's golden rows run only at (1, 1, 1), and report --list-checks reads
 its names from these tables. Each identity that holds by construction
 (Phi^2 = Phi, Phi*k = 0, P^2 = I, delta(f) = 0) is computed once, in the
 build or at a derivation's first delta(f), and its row reads that result.
-A verify computes each pair's curvature report and each A_d(dFvec) once; the
-rows and the curvature block share them, and each delta(Phi) through
-conn.connection_matrix. --timings charges memoised work to its first row.
+A verify forms each pair's curvature report and each A_d(dFvec) once, after
+the build and before any row runs; the rows and the curvature block read
+them, and each delta(Phi) through conn.connection_matrix. --timings times
+each row alone, so its seconds exclude that shared work.
 
 Exit codes: 0 when no check fails (discrepancies allowed), 1 when any
 check fails, 2 for usage or parse errors, 3 for an internal error (any
@@ -144,11 +145,12 @@ def _deviation_status(presentation, expected_rank: int):
 
 
 class _Context:
-    """One example at one triple, with the work its rows share memoised.
+    """One example at one triple, with the work its rows share formed up front.
 
-    Each pair's curvature report is computed once, by whichever row or the
-    curvature block asks for it first; so is each A_{d_i}(dFvec), which the
-    formone and nested rows share, and each delta(Phi), in the presentation's
+    After the build, each pair's curvature report (curvature, keyed by (i, j)
+    in _PAIRS order) and, when the presentation has a kernel generator k, each
+    A_{d_i}(k) (applied, which the formone and nested rows share) are formed
+    once, before any row runs. Each delta(Phi) is kept in the presentation's
     own memo (conn.connection_matrix).
     """
 
@@ -158,24 +160,15 @@ class _Context:
         self.params = (p, q, r)
         self.ex = getattr(catalog, self.family.build)(p, q, r)
         self.pres = self.ex.presentation
-        self._curvature: dict = {}
-        self._applied: dict = {}
+        d, label, k = self.ex.derivations, self.family.label, self.pres.kernel_generator
+        self.curvature = {
+            (i, j): curvature_report(self.pres, d[i], d[j], f"{label}{i + 1}", f"{label}{j + 1}")
+            for i, j, _ in _PAIRS
+        }
+        self.applied = () if k is None else tuple(connection_apply(self.pres, e, k) for e in d)
 
     def expected(self, check_id: str):
         return catalog.reference_expected(self.example, check_id, *self.params)
-
-    def curvature(self, i: int, j: int):
-        if (i, j) not in self._curvature:
-            d, label = self.ex.derivations, self.family.label
-            self._curvature[i, j] = curvature_report(
-                self.pres, d[i], d[j], f"{label}{i + 1}", f"{label}{j + 1}"
-            )
-        return self._curvature[i, j]
-
-    def applied(self, i: int):
-        if i not in self._applied:
-            self._applied[i] = connection_apply(self.pres, self.ex.derivations[i], self.ex.dFvec)
-        return self._applied[i]
 
 
 def _per_index(name: str, check):
@@ -200,11 +193,11 @@ def _scalar_multiple_status(ctx: _Context, vector, check_id: str):
 
 
 def _formone(ctx: _Context, i: int):
-    return _scalar_multiple_status(ctx, ctx.applied(i), f"formone-scalar-{i + 1}")
+    return _scalar_multiple_status(ctx, ctx.applied[i], f"formone-scalar-{i + 1}")
 
 
 def _nested(ctx: _Context, first: int, second: int):
-    outer = connection_apply(ctx.pres, ctx.ex.derivations[first], ctx.applied(second))
+    outer = connection_apply(ctx.pres, ctx.ex.derivations[first], ctx.applied[second])
     return _scalar_multiple_status(ctx, outer, f"nested-{first + 1}{second + 1}-scalar")
 
 
@@ -217,7 +210,7 @@ def _bracket(ctx: _Context, i: int, j: int):
 
 
 def _nonflat(ctx: _Context):
-    report = ctx.curvature(0, 1)
+    report = ctx.curvature[0, 1]
     return ("fail", "0") if report.flat else ("pass", str(report.induced))
 
 
@@ -240,11 +233,11 @@ _ELLIPSOID_ROWS = (
     *_per_pair(
         "curvature-kernel",
         lambda ctx, i, j: _vector_status(
-            ctx.curvature(i, j).commutator.mul_vector(ctx.ex.dFvec)
+            ctx.curvature[i, j].commutator.mul_vector(ctx.ex.dFvec)
         ),
     ),
-    *_per_pair("trace-image", lambda ctx, i, j: _zero_status(ctx.curvature(i, j).trace_image)),
-    *_per_pair("trace-kernel", lambda ctx, i, j: _zero_status(ctx.curvature(i, j).trace_kernel)),
+    *_per_pair("trace-image", lambda ctx, i, j: _zero_status(ctx.curvature[i, j].trace_image)),
+    *_per_pair("trace-kernel", lambda ctx, i, j: _zero_status(ctx.curvature[i, j].trace_kernel)),
     ("nonflat-12", _nonflat),
     ("deviation", lambda ctx: _deviation_status(ctx.pres, 2)),
 )
@@ -267,7 +260,7 @@ def _d3m_sign(ctx: _Context):
 
 def _sphere_trace(ctx: _Context, i: int, j: int):
     # Psi = I - Phi = M, so the trace over the image of M is the kernel trace
-    computed = ctx.curvature(i, j).trace_kernel
+    computed = ctx.curvature[i, j].trace_kernel
     golden = ctx.expected(f"trace-{i + 1}{j + 1}-image")
     if (computed - golden).is_zero and not computed.is_zero:
         return "pass", str(computed)
@@ -278,7 +271,7 @@ def _trace_normalization(ctx: _Context):
     relations = []
     for i, j, tag in _PAIRS:
         printed = ctx.expected(f"trace-{tag}-printed")
-        computed = ctx.curvature(i, j).trace_kernel
+        computed = ctx.curvature[i, j].trace_kernel
         for factor in (1, -1, 2, -2):
             if (printed - computed * factor).is_zero:
                 relations.append((tag, factor))
@@ -300,7 +293,7 @@ _SPHERE_GOLDEN_ROWS = (
     ("d3M-sign", _d3m_sign),
     (
         "R12-golden",
-        lambda ctx: _match_status(ctx.curvature(0, 1).commutator, ctx.expected("R12")),
+        lambda ctx: _match_status(ctx.curvature[0, 1].commutator, ctx.expected("R12")),
     ),
     *_per_pair("trace-image", _sphere_trace),
     ("trace-normalization", _trace_normalization),
@@ -321,7 +314,6 @@ class _Family:
     """One example: its builder, check table and report notes."""
 
     build: str  # the catalog builder's name, looked up when called, so a patched binding is used
-    minimum: int  # smallest allowed p, q, r
     label: str  # derivation prefix in the curvature block
     rows: tuple  # (name, check) in report order; check(ctx) -> (status, witness)
     notes: tuple
@@ -332,14 +324,12 @@ class _Family:
 _FAMILIES = {
     "ellipsoid": _Family(
         "build_ellipsoid_cotangent",
-        2,
         "d",
         _ELLIPSOID_ROWS,
         ("point checks evaluate at the on-surface point (1, 0, 0)",),
     ),
     "sphere": _Family(
         "build_sphere_line_bundle",
-        1,
         "D",
         _SPHERE_ROWS,
         (
@@ -375,13 +365,13 @@ def run_verification(example: str, p: int, q: int, r: int) -> VerificationReport
         start = time.perf_counter()
         status, witness = check(ctx)
         results.append(CheckResult(name, status, witness, time.perf_counter() - start))
-    curvature = tuple(ctx.curvature(i, j).to_json() for i, j, _ in _PAIRS)
+    curvature = tuple(report.to_json() for report in ctx.curvature.values())
     notes = family.notes + (family.golden_notes if golden else ())
     return VerificationReport(example, p, q, r, tuple(results), curvature, notes)
 
 
 def _require_parameters(example: str, p: int, q: int, r: int):
-    minimum = _FAMILIES[example].minimum
+    minimum = catalog.MINIMUM[example]
     if min(p, q, r) < minimum:
         raise UsageError(
             f"example {example!r} requires p, q, r >= {minimum}, got {(p, q, r)}"
@@ -444,7 +434,7 @@ def _sweep_worker(task) -> dict:
 
 def cmd_sweep(args) -> int:
     example = args.example
-    minimum = _FAMILIES[example].minimum
+    minimum = catalog.MINIMUM[example]
     if args.max < minimum:
         raise UsageError(f"--max must be >= {minimum} for example {example!r}")
     if args.max > MAX_SWEEP:

@@ -377,6 +377,32 @@ def test_verification_applies_each_connection_to_dfvec_once(monkeypatch):
     assert len(calls) == 5
 
 
+@pytest.mark.parametrize(
+    "example, triple, applications",
+    [("ellipsoid", (2, 3, 4), (3, 2)), ("sphere", (1, 1, 1), (0, 0))],
+)
+def test_context_forms_the_shared_work_before_any_row(monkeypatch, example, triple, applications):
+    # the build is followed by the three curvature reports and, when there is a
+    # kernel generator k, each A_{d_i}(k); the rows then read them and apply
+    # only the nested rows' outer connections
+    calls = {"report": 0, "apply": 0}
+
+    def counting(key, function):
+        def counted(*args):
+            calls[key] += 1
+            return function(*args)
+
+        return counted
+
+    monkeypatch.setattr(cli, "curvature_report", counting("report", cli.curvature_report))
+    monkeypatch.setattr(cli, "connection_apply", counting("apply", cli.connection_apply))
+    ctx = cli._Context(example, *triple)
+    assert calls == {"report": 3, "apply": applications[0]}
+    for _, check in ctx.family.rows:
+        check(ctx)
+    assert calls == {"report": 3, "apply": sum(applications)}
+
+
 @pytest.mark.parametrize("triple", [(1, 1, 1), (2, 1, 1)])
 def test_sphere_verify_computes_delta_f_once_per_koszul_field(monkeypatch, triple):
     # the scaled fields k12/2, k13/2 and -k23/2 keep the zero delta(f) that
@@ -640,6 +666,24 @@ def test_rank_and_flatness_rows_fail(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "witness: ambient 3, rank 3, deviation 0" in captured.out
     assert captured.err == ""
+
+
+def test_deviation_row_fails_a_lower_rank(monkeypatch):
+    # the ellipsoid's module has rank exactly 2 at (1, 0, 0); rank 1 fails as rank 3 does
+    monkeypatch.setattr(cli, "deviation_report", lambda pres, point: conn.DeviationReport(3, 1, 2))
+    ctx = cli._Context("ellipsoid", 2, 3, 4)
+    row = dict(cli._ELLIPSOID_ROWS)["deviation"]
+    assert row(ctx) == ("fail", "ambient 3, rank 1, deviation 2")
+
+
+def test_sphere_trace_row_fails_a_zero_trace(monkeypatch):
+    # the sphere's traces over the image of M are nonzero, so a zero trace
+    # fails even against a zero reference
+    ctx = cli._Context("sphere", 1, 1, 1)
+    zero = ctx.ex.ring.zero()
+    ctx.curvature[0, 1] = dataclasses.replace(ctx.curvature[0, 1], trace_kernel=zero)
+    monkeypatch.setattr(catalog, "reference_expected", lambda *args: zero)
+    assert dict(cli._SPHERE_ROWS)["trace-image-12"](ctx) == ("fail", "computed 0, expected 0")
 
 
 def test_report_requires_flag():
