@@ -2,24 +2,30 @@
 
 Usage (from anywhere):
 
-    python3 tools/mutants.py [N ...]
+    python3 tools/mutants.py
 
 MUTANTS is a fixed list of edits (file, old text, new text, reason), each
-aimed at a kernel or a check; N picks entries by their 1-based number, and
-no N runs them all. For each edit the checkout (every file git lists,
-tracked or untracked but not ignored) is copied to a temporary directory
-outside the repository, the old text is replaced there, and
-``python -m pytest -x -q`` runs in the copy, at most two copies at a time.
-Each mutant gets one line, in list order:
+aimed at a kernel or a check, and every run applies all of them. The
+checkout (every file git lists, tracked or untracked but not ignored) is
+copied to a temporary directory outside the repository and
+``python -m pytest -x -q`` runs there unmutated first: if that copy does not
+pass, no mutant can be judged, and the tool stops. Then each edit gets its
+own copy with the old text replaced, at most two copies at a time, and one
+line, in list order:
 
-- killed: a test failed, and the first failing test is named;
+- killed: a test failed or a test module failed to import (pytest exit 1,
+  or exit 2 with a collection error), and the first failing test or module
+  is named;
 - survived: every test passed, so no test notices the edit;
 - stale: the old text is not in the file exactly once, so the entry no
   longer fits the code and should be rewritten or dropped;
-- timeout: the run took longer than TIMEOUT seconds.
+- timeout: the run took longer than TIMEOUT seconds;
+- error: pytest ended any other way (usage error, internal error, no tests),
+  which says nothing about the edit.
 
 A summary line follows. The tool is no test gate: a survivor costs a whole
-suite run. Exit status 0 once every mutant has been run, 2 for a bad N.
+suite run. Exit status 0 once every mutant has been run without an error, 1
+if the unmutated copy fails or some mutant's run ends in an error.
 """
 
 from __future__ import annotations
@@ -125,19 +131,17 @@ def _checkout_files() -> list[str]:
     return [name for name in listed.split("\0") if name and (ROOT / name).is_file()]
 
 
-def _run(number: int, files: list[str]) -> tuple[str, str, float]:
-    """(status, detail, seconds) for one mutant."""
-    path, old, new, _ = MUTANTS[number - 1]
-    text = (ROOT / path).read_text(encoding="utf-8")
-    if text.count(old) != 1:
-        return "stale", f"old text found {text.count(old)} times in {path}", 0.0
+def _suite(files: list[str], edit: tuple[str, str] | None = None) -> tuple[int | None, str, float]:
+    """(pytest exit code, None on a timeout; output; seconds) for one copy of
+    the checkout, with edit = (path, text) written over one file."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
         for name in files:
             (copy / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / name, copy / name)
-        (copy / path).write_text(text.replace(old, new), encoding="utf-8")
+        if edit:
+            (copy / edit[0]).write_text(edit[1], encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
         # its own session, so a timeout stops the suite's child processes too
         proc = subprocess.Popen(
@@ -150,23 +154,43 @@ def _run(number: int, files: list[str]) -> tuple[str, str, float]:
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
-            return "timeout", f"over {TIMEOUT} s", time.perf_counter() - start
-    seconds = time.perf_counter() - start
-    if proc.returncode == 0:
-        return "survived", "", seconds
-    found = _FAILED.search(out)
+            return None, "", time.perf_counter() - start
+    return proc.returncode, out, time.perf_counter() - start
+
+
+def _last_line(out: str) -> str:
     lines = out.strip().splitlines()
-    return "killed", found.group(1) if found else (lines[-1] if lines else ""), seconds
+    return lines[-1] if lines else ""
 
 
-def main(argv) -> int:
-    if not all(a.isascii() and a.isdigit() and 1 <= int(a) <= len(MUTANTS) for a in argv):
-        print(f"usage: mutants.py [N ...], each N in 1..{len(MUTANTS)}", file=sys.stderr)
-        return 2
-    numbers = [int(a) for a in argv] or list(range(1, len(MUTANTS) + 1))
+def _run(number: int, files: list[str]) -> tuple[str, str, float]:
+    """(status, detail, seconds) for one mutant."""
+    path, old, new, _ = MUTANTS[number - 1]
+    text = (ROOT / path).read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        return "stale", f"old text found {text.count(old)} times in {path}", 0.0
+    code, out, seconds = _suite(files, (path, text.replace(old, new)))
+    if code is None:
+        return "timeout", f"over {TIMEOUT} s", seconds
+    if code == 0:
+        return "survived", "", seconds
+    if code == 1 or (code == 2 and "ERROR collecting " in out):
+        found = _FAILED.search(out)
+        return "killed", found.group(1) if found else _last_line(out), seconds
+    return "error", f"pytest exit {code}: {_last_line(out)}", seconds
+
+
+def main() -> int:
     files = _checkout_files()
+    code, out, seconds = _suite(files)
+    if code != 0:
+        ended = f"over {TIMEOUT} s" if code is None else f"exit {code}: {_last_line(out)}"
+        print(f"the unmutated copy fails ({ended}), so no mutant is run", file=sys.stderr)
+        return 1
+    print(f"unmutated copy passes in {seconds:.1f}s", flush=True)
+    numbers = range(1, len(MUTANTS) + 1)
     start = time.perf_counter()
-    tally = {"killed": 0, "survived": 0, "stale": 0, "timeout": 0}
+    tally = {"killed": 0, "survived": 0, "stale": 0, "timeout": 0, "error": 0}
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
         runs = pool.map(lambda n: _run(n, files), numbers)
         for number, (status, detail, seconds) in zip(numbers, runs):
@@ -174,10 +198,10 @@ def main(argv) -> int:
             tally[status] += 1
             print(f"{number:2d} {status:8s} {seconds:6.1f}s  {Path(path).name}: {reason}"
                   + (f"  [{detail}]" if detail else ""), flush=True)
-    print(f"{len(numbers)} mutants: " + ", ".join(f"{n} {s}" for s, n in tally.items())
+    print(f"{len(MUTANTS)} mutants: " + ", ".join(f"{n} {s}" for s, n in tally.items())
           + f" in {time.perf_counter() - start:.0f} s")
-    return 0
+    return 1 if tally["error"] else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
