@@ -46,8 +46,9 @@ class Derivation:
         return self._modulus_image
 
     def _apply_rep(self, rep: Polynomial) -> RingElement:
-        return self.ring.dot(
-            (rep.partial_derivative(index), image.rep) for index, image in enumerate(self.images)
+        return self.ring.dot(  # a zero image is paired with no partial derivative
+            (rep.partial_derivative(index), image.rep)
+            for index, image in enumerate(self.images) if image.rep
         )
 
     def apply(self, a: RingElement) -> RingElement:

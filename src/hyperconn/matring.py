@@ -45,7 +45,7 @@ class MatrixA:
         for e in entries:
             if not isinstance(e, RingElement):
                 raise TypeError("entries must be ring elements; use from_rows to coerce")
-            if e.ring != ring:
+            if e.ring is not ring and e.ring != ring:
                 raise ValueError("entry belongs to a different ring")
         self.ring = ring
         self.rows = rows

@@ -8,7 +8,9 @@ many-term polynomials: a polynomial product is the sum of one pair, and
 `QuotientRing.dot` hands it many. Operands are lifted to integer numerators
 over a common denominator, pairs add up as Gaussian integers, and each
 output coefficient is normalised once. A power by the multinomial theorem
-does the same over its compositions.
+does the same over its compositions. A product with a one-term operand adds
+nothing up: each coefficient is made from the two factors' integer fields
+and normalised once, and the sum adopts the first such product's map.
 Polynomials are sparse maps from monomials, which are plain exponent
 tuples, to nonzero coefficients, so equality is equality of term maps. A
 graded reverse lexicographic order fixes leading terms and makes division
@@ -337,7 +339,7 @@ class Polynomial:
         return None
 
     def _require_same_names(self, other: "Polynomial"):
-        if self.names != other.names:
+        if self.names is not other.names and self.names != other.names:
             raise ValueError(f"variable mismatch: {self.names} vs {other.names}")
 
     def __eq__(self, other) -> bool:
@@ -380,11 +382,17 @@ class Polynomial:
         if isinstance(other, Polynomial):
             self._require_same_names(other)
             if len(self._terms) == 1 or len(other._terms) == 1:
-                # no two pairs meet in one monomial, so there is nothing to add up
-                return Polynomial._raw(self.names, {
-                    tuple(map(add, m1, m2)): c1 * c2
-                    for m1, c1 in self._terms.items() for m2, c2 in other._terms.items()
-                })
+                # no two pairs meet in one monomial, so there is nothing to add
+                # up; each coefficient is multiplied from the integer fields
+                terms = {}
+                for m1, c1 in self._terms.items():
+                    a, b, d = c1._a, c1._b, c1._d
+                    for m2, c2 in other._terms.items():
+                        c, e, f = c2._a, c2._b, c2._d
+                        terms[tuple(map(add, m1, m2))] = (
+                            _gaussian(a * c - b * e, a * e + b * c, d * f) if b or e
+                            else _gaussian(a * c, 0, d * f))
+                return Polynomial._raw(self.names, terms)
             return Polynomial._raw(self.names, _sum_of_products(((self, other),)))
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = _coerce_coeff(other)
@@ -483,17 +491,18 @@ def _add_terms(result: dict, terms: dict) -> dict:
 
 def _sum_of_products(pairs) -> dict:
     """The terms of the sum of a*b over polynomial pairs, zero operands
-    skipped. A pair with a one-term operand is one product a*b. The others
-    are lifted, scaled to the lcm D of their dl*dr and summed as Gaussian
-    integers (re, im) per monomial, and each of their coefficients is
-    normalised once over D. A sum that cancels leaves the map, as with
-    per-pair GaussianRational arithmetic, so the term order is the same too."""
+    skipped. A pair with a one-term operand is one product a*b, whose map is
+    fresh, so the first one becomes the running sum. The others are lifted,
+    scaled to the lcm D of their dl*dr and summed as Gaussian integers
+    (re, im) per monomial, and each of their coefficients is normalised once
+    over D. A sum that cancels leaves the map, as with per-pair
+    GaussianRational arithmetic, so the term order is the same too."""
     acc, lifted = {}, []
     for a, b in pairs:
-        if not (a and b):
+        if not (a._terms and b._terms):
             continue
         if len(a._terms) == 1 or len(b._terms) == 1:
-            _add_terms(acc, (a * b)._terms)
+            acc = _add_terms(acc, (a * b)._terms) if acc else (a * b)._terms
         else:
             a._require_same_names(b)
             lifted.append((*_lift(a._terms), *_lift(b._terms)))
