@@ -46,7 +46,7 @@ class Derivation:
         return self._modulus_image
 
     def _apply_rep(self, rep: Polynomial) -> RingElement:
-        return self.ring.dot(  # a zero image is paired with no partial derivative
+        return self.ring.dot(  # a partial paired with a zero image would only be skipped
             (rep.partial_derivative(index), image.rep)
             for index, image in enumerate(self.images) if image.rep
         )

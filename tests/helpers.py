@@ -10,14 +10,34 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import islice, product
 from pathlib import Path
 from random import Random
 
-from hyperconn import Derivation, GaussianRational, MatrixA, Polynomial, QuotientRing
+from hyperconn import Derivation, GaussianRational, MatrixA, Polynomial, QuotientRing, parse
 
 NAMES = ("x", "y", "z")
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@cache
+def unit_sphere() -> QuotientRing:
+    """The ring of the unit sphere x^2+y^2+z^2 = 1.
+
+    It and rotations() are built on first use, not when a test module is
+    imported, so a broken kernel fails the tests that use them by name
+    instead of the collection of their whole module."""
+    return QuotientRing(parse("x^2+y^2+z^2-1"))
+
+
+@cache
+def rotations() -> tuple[Derivation, Derivation, Derivation]:
+    """The rotational fields y*d/dx - x*d/dy, z*d/dx - x*d/dz and
+    z*d/dy - y*d/dz, tangent to the unit sphere."""
+    ring = unit_sphere()
+    return (Derivation(ring, ("y", "-x", "0")), Derivation(ring, ("z", "0", "-x")),
+            Derivation(ring, ("0", "z", "-y")))
 
 
 def child_env() -> dict:

@@ -12,7 +12,6 @@ from hyperconn import (
     Derivation,
     MatrixA,
     PresentationError,
-    QuotientRing,
     bracket,
     build_ellipsoid_cotangent,
     build_sphere_line_bundle,
@@ -27,18 +26,10 @@ from hyperconn import (
     make_presentation,
     modified_curvature,
     operator_commutator_matrix,
-    parse,
     trace_over_image,
     trace_over_kernel,
 )
-from helpers import random_element, random_matrix, random_tangent
-
-SPHERE = QuotientRing(parse("x^2+y^2+z^2-1"))
-GENS = (
-    Derivation(SPHERE, ("y", "-x", "0")),
-    Derivation(SPHERE, ("z", "0", "-x")),
-    Derivation(SPHERE, ("0", "z", "-y")),
-)
+from helpers import random_element, random_matrix, random_tangent, rotations, unit_sphere
 
 
 def column_operator_commutator(p, delta, potential):
@@ -56,29 +47,31 @@ def column_operator_commutator(p, delta, potential):
 
 def _diag_presentation():
     # the free rank-one summand of A^2
-    phi = MatrixA.from_rows(SPHERE, [["1", "0"], ["0", "0"]])
-    return make_presentation(SPHERE, phi)
+    sphere = unit_sphere()
+    return make_presentation(sphere, MatrixA.from_rows(sphere, [["1", "0"], ["0", "0"]]))
 
 
 def test_make_presentation_validates_idempotency():
+    sphere = unit_sphere()
     with pytest.raises(PresentationError):
-        make_presentation(SPHERE, MatrixA.from_rows(SPHERE, [["x", "0"], ["0", "0"]]))
+        make_presentation(sphere, MatrixA.from_rows(sphere, [["x", "0"], ["0", "0"]]))
     with pytest.raises(PresentationError):
-        make_presentation(SPHERE, MatrixA.zero(SPHERE, 2, 3))
+        make_presentation(sphere, MatrixA.zero(sphere, 2, 3))
     p = _diag_presentation()
-    assert p.psi == MatrixA.from_rows(SPHERE, [["0", "0"], ["0", "1"]])
+    assert p.psi == MatrixA.from_rows(sphere, [["0", "0"], ["0", "1"]])
 
 
 def test_kernel_generator_validation():
-    phi = MatrixA.from_rows(SPHERE, [["1", "0"], ["0", "0"]])
-    p = make_presentation(SPHERE, phi, ("0", "1"))
-    assert p.kernel_generator == (SPHERE.zero(), SPHERE.one())
+    sphere = unit_sphere()
+    phi = MatrixA.from_rows(sphere, [["1", "0"], ["0", "0"]])
+    p = make_presentation(sphere, phi, ("0", "1"))
+    assert p.kernel_generator == (sphere.zero(), sphere.one())
     with pytest.raises(PresentationError):
-        make_presentation(SPHERE, phi, ("1", "0"))  # not annihilated
+        make_presentation(sphere, phi, ("1", "0"))  # not annihilated
     with pytest.raises(PresentationError):
-        make_presentation(SPHERE, phi, ("0", "0"))  # zero vector
+        make_presentation(sphere, phi, ("0", "0"))  # zero vector
     with pytest.raises(PresentationError):
-        make_presentation(SPHERE, phi, ("0", "1", "0"))  # wrong length
+        make_presentation(sphere, phi, ("0", "1", "0"))  # wrong length
 
 
 def test_connection_apply_leibniz():
@@ -106,9 +99,10 @@ def test_curvature_matrix_is_commutator_of_differentials():
 
 def test_curvature_of_free_summand_is_zero():
     p = _diag_presentation()
-    c = curvature_matrix(p, GENS[0], GENS[1])
+    d1, d2, _ = rotations()
+    c = curvature_matrix(p, d1, d2)
     assert c.is_zero
-    assert curvature_report(p, GENS[0], GENS[1], "d1", "d2").induced.is_zero
+    assert curvature_report(p, d1, d2, "d1", "d2").induced.is_zero
 
 
 def test_trace_split_sums_to_zero():
@@ -152,11 +146,12 @@ def test_curvature_report_fields():
 
 
 @pytest.mark.parametrize(
-    "ex",
-    [build_ellipsoid_cotangent(2, 3, 4), build_sphere_line_bundle(1, 1, 1)],
+    "build, params",
+    [(build_ellipsoid_cotangent, (2, 3, 4)), (build_sphere_line_bundle, (1, 1, 1))],
     ids=["ellipsoid", "sphere"],
 )
-def test_curvature_report_flatness_is_phi_times_commutator(ex):
+def test_curvature_report_flatness_is_phi_times_commutator(build, params):
+    ex = build(*params)
     # flat is read off the entries of Phi*C up to the first nonzero one, and
     # induced forms Phi*C in full; both agree with the product formed directly
     phi = ex.presentation.phi
@@ -301,7 +296,7 @@ def test_connection_matrices_are_memoised_by_value():
         assert stored == delta.apply_to_matrix(pres.phi)
     assert len(pres._connection_matrices) == 3
     with pytest.raises(ValueError):
-        connection_matrix(pres, GENS[0])
+        connection_matrix(pres, rotations()[0])
 
 
 def test_presentation_equality_ignores_the_memo():
@@ -333,13 +328,14 @@ def test_presentation_keeps_its_checked_identities():
 
 
 def test_presentation_errors_name_their_witness():
-    phi = MatrixA.from_rows(SPHERE, [["1", "0"], ["0", "0"]])
+    sphere = unit_sphere()
+    phi = MatrixA.from_rows(sphere, [["1", "0"], ["0", "0"]])
     with pytest.raises(PresentationError) as info:
-        make_presentation(SPHERE, phi, ("x", "y"))
+        make_presentation(sphere, phi, ("x", "y"))
     assert str(info.value) == "kernel generator not annihilated: Phi*k = (x, 0)"
     with pytest.raises(PresentationError) as info:
-        make_presentation(SPHERE, MatrixA.from_rows(SPHERE, [["x", "0"], ["0", "0"]]))
-    defect = MatrixA.from_rows(SPHERE, [["x^2-x", "0"], ["0", "0"]])
+        make_presentation(sphere, MatrixA.from_rows(sphere, [["x", "0"], ["0", "0"]]))
+    defect = MatrixA.from_rows(sphere, [["x^2-x", "0"], ["0", "0"]])
     assert str(info.value) == f"idempotency failure: Phi^2 - Phi = {defect}"
 
 

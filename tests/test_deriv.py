@@ -12,25 +12,29 @@ from hyperconn import (
     QuotientRing,
     TangencyError,
     bracket,
+    koszul_derivations,
     parse,
 )
-from helpers import random_element, random_matrix, random_tangent
+from helpers import (
+    NAMES,
+    pairwise_mul,
+    random_element,
+    random_matrix,
+    random_tangent,
+    rotations,
+    unit_sphere,
+)
 
-SPHERE = QuotientRing(parse("x^2+y^2+z^2-1"))
-
-# rotational fields are tangent to the sphere
-D1 = Derivation(SPHERE, ("y", "-x", "0"))
-D2 = Derivation(SPHERE, ("z", "0", "-x"))
-D3 = Derivation(SPHERE, ("0", "z", "-y"))
-GENS = (D1, D2, D3)
+SPHERE = unit_sphere()
 
 
 def test_tangency_enforced():
+    d1, *_ = rotations()
     with pytest.raises(TangencyError):
         Derivation(SPHERE, ("1", "0", "0"))
     with pytest.raises(TangencyError):
         Derivation(SPHERE, ("y", "x", "0"))
-    assert D1.modulus_image().is_zero
+    assert d1.modulus_image().is_zero
 
 
 def test_wrong_image_count_rejected():
@@ -39,17 +43,19 @@ def test_wrong_image_count_rejected():
 
 
 def test_apply_known_values():
-    assert D1.apply(SPHERE.element("x")) == SPHERE.element("y")
-    assert D1.apply(SPHERE.element("y")) == SPHERE.element("-x")
-    assert D1.apply(SPHERE.element("z")).is_zero
-    assert D1.apply(SPHERE.element("x*y")) == SPHERE.element("y^2-x^2")
-    assert D1.apply(SPHERE.one()).is_zero
+    d1, *_ = rotations()
+    assert d1.apply(SPHERE.element("x")) == SPHERE.element("y")
+    assert d1.apply(SPHERE.element("y")) == SPHERE.element("-x")
+    assert d1.apply(SPHERE.element("z")).is_zero
+    assert d1.apply(SPHERE.element("x*y")) == SPHERE.element("y^2-x^2")
+    assert d1.apply(SPHERE.one()).is_zero
 
 
 def test_leibniz_rule_random():
+    gens = rotations()
     rng = Random(811523)
     for _ in range(60):
-        delta = random_tangent(rng, SPHERE, GENS)
+        delta = random_tangent(rng, SPHERE, gens)
         a = random_element(rng, SPHERE)
         b = random_element(rng, SPHERE)
         assert delta.apply(a * b) == a * delta.apply(b) + b * delta.apply(a)
@@ -57,10 +63,11 @@ def test_leibniz_rule_random():
 
 
 def test_derivation_algebra():
+    gens = rotations()
     rng = Random(490033)
     for _ in range(30):
-        delta = random_tangent(rng, SPHERE, GENS)
-        eta = random_tangent(rng, SPHERE, GENS)
+        delta = random_tangent(rng, SPHERE, gens)
+        eta = random_tangent(rng, SPHERE, gens)
         scalar = random_element(rng, SPHERE, max_degree=1, max_terms=2)
         a = random_element(rng, SPHERE)
         assert (delta + eta).apply(a) == delta.apply(a) + eta.apply(a)
@@ -70,10 +77,11 @@ def test_derivation_algebra():
 
 
 def test_bracket_is_a_tangent_derivation():
+    gens = rotations()
     rng = Random(995511)
     for _ in range(25):
-        delta = random_tangent(rng, SPHERE, GENS)
-        eta = random_tangent(rng, SPHERE, GENS)
+        delta = random_tangent(rng, SPHERE, gens)
+        eta = random_tangent(rng, SPHERE, gens)
         br = bracket(delta, eta)
         assert br.modulus_image().is_zero
         a = random_element(rng, SPHERE)
@@ -81,11 +89,12 @@ def test_bracket_is_a_tangent_derivation():
 
 
 def test_bracket_antisymmetry_and_jacobi():
+    gens = rotations()
     rng = Random(271828)
     for _ in range(15):
-        d = random_tangent(rng, SPHERE, GENS, max_degree=1, max_terms=1)
-        e = random_tangent(rng, SPHERE, GENS, max_degree=1, max_terms=1)
-        f = random_tangent(rng, SPHERE, GENS, max_degree=1, max_terms=1)
+        d = random_tangent(rng, SPHERE, gens, max_degree=1, max_terms=1)
+        e = random_tangent(rng, SPHERE, gens, max_degree=1, max_terms=1)
+        f = random_tangent(rng, SPHERE, gens, max_degree=1, max_terms=1)
         assert bracket(d, e) == -bracket(e, d)
         jacobi = (
             bracket(d, bracket(e, f))
@@ -96,14 +105,16 @@ def test_bracket_antisymmetry_and_jacobi():
 
 
 def test_rotation_bracket_closes():
+    d1, d2, d3 = rotations()
     # [y d/dx - x d/dy, z d/dx - x d/dz] sends y to z and z to -y
-    assert bracket(D1, D2) == D3
+    assert bracket(d1, d2) == d3
 
 
 def test_apply_to_matrix_entrywise():
+    gens = rotations()
     rng = Random(160298)
     for _ in range(20):
-        delta = random_tangent(rng, SPHERE, GENS, max_degree=1, max_terms=1)
+        delta = random_tangent(rng, SPHERE, gens, max_degree=1, max_terms=1)
         m = random_matrix(rng, SPHERE, 2)
         result = delta.apply_to_matrix(m)
         for i in range(2):
@@ -112,9 +123,10 @@ def test_apply_to_matrix_entrywise():
 
 
 def test_matrix_leibniz():
+    gens = rotations()
     rng = Random(441100)
     for _ in range(20):
-        delta = random_tangent(rng, SPHERE, GENS, max_degree=1, max_terms=1)
+        delta = random_tangent(rng, SPHERE, gens, max_degree=1, max_terms=1)
         m = random_matrix(rng, SPHERE, 2)
         n = random_matrix(rng, SPHERE, 2)
         left = delta.apply_to_matrix(m * n)
@@ -123,12 +135,14 @@ def test_matrix_leibniz():
 
 
 def test_str_rendering():
-    assert str(D1) == "y*d/dx + (-x)*d/dy"
-    zero = D1 - D1
+    d1, *_ = rotations()
+    assert str(d1) == "y*d/dx + (-x)*d/dy"
+    zero = d1 - d1
     assert str(zero) == "0"
 
 
 def test_hash_is_computed_once_and_by_value(monkeypatch):
+    d1, *_ = rotations()
     calls = []
     original = Polynomial.__hash__
 
@@ -143,8 +157,8 @@ def test_hash_is_computed_once_and_by_value(monkeypatch):
     assert walked > 0
     assert hash(delta) == first and len(calls) == walked
     # equal derivations built apart hash alike, and equality is unchanged
-    assert hash(D1) == first and D1 == delta
-    assert {delta: 1}[D1] == 1
+    assert hash(d1) == first and d1 == delta
+    assert {delta: 1}[d1] == 1
 
 
 def test_modulus_image_is_computed_once_per_derivation(monkeypatch):
@@ -178,6 +192,29 @@ def test_modulus_image_is_computed_once_per_derivation(monkeypatch):
     assert half.modulus_image() is first and calls == []
     assert (radial * SPHERE.element(parse("x"))).modulus_image() == SPHERE.element(parse("2*x"))
     assert calls == [SPHERE.modulus]
+
+
+def test_a_zero_image_is_paired_with_no_partial_derivative(monkeypatch):
+    # each Koszul field (i, j) has a zero image at the third variable, so
+    # applying it forms the partials in x_i and x_j only, and the sum over
+    # all three partials by the chain rule is the same element
+    ring = QuotientRing(parse("x^2+y^3+z^4-1"))
+    fields = koszul_derivations(ring)
+    a = ring.element(parse("x*y*z+i/2*x^2*z-y^2/3"))
+    chain_rule = [
+        ring.nf(sum((pairwise_mul(a.rep.partial_derivative(k), image.rep)
+                     for k, image in enumerate(delta.images)), Polynomial.zero(NAMES)))
+        for delta in fields
+    ]
+    calls = []
+    original = Polynomial.partial_derivative
+    monkeypatch.setattr(Polynomial, "partial_derivative",
+                        lambda self, index: calls.append(index) or original(self, index))
+    for delta, pair, want in zip(fields, [(0, 1), (0, 2), (1, 2)], chain_rule):
+        calls.clear()
+        got = delta.apply(a)
+        assert calls == list(pair)
+        assert got == want and str(got) == str(want)
 
 
 @pytest.mark.parametrize(

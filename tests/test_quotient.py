@@ -103,6 +103,17 @@ def test_constant_factor_leaves_a_normal_form(ring, a, c):
     assert calls == []
 
 
+def operand_terms(pairs):
+    # every operand's terms in their order, to show that a call changed none
+    return [list(p.terms.items()) for pair in pairs for p in pair]
+
+
+def is_an_operand_map(terms, pairs):
+    # a sum or product that adopted an operand's own map would change that
+    # operand as soon as it was added to
+    return any(terms is p.terms for pair in pairs for p in pair)
+
+
 def per_sum_loop(ring, pairs):
     # the loop QuotientRing.dot replaced: a new Polynomial per +, then one nf;
     # each product is the per-pair reference, since a * b is the kernel of dot
@@ -118,12 +129,18 @@ def per_sum_loop(ring, pairs):
        cancel=st.booleans())
 @example(pairs=[(Polynomial.zero(NAMES), parse("x+1")), (parse("x*y-i"), parse("2*z"))],
          cancel=True)
+# a product by one is the other operand's value, but never its map
+@example(pairs=[(parse("y"), parse("1"))], cancel=False)
+@example(pairs=[(parse("y"), parse("1"))], cancel=True)
 def test_dot_matches_per_sum_loop(ring, pairs, cancel):
     if cancel and pairs:
         pairs = pairs + [(-pairs[-1][0], pairs[-1][1])]  # the last two pairs cancel
+    before = operand_terms(pairs)
     got, want = ring.dot(pairs), per_sum_loop(ring, pairs)
     assert list(got.rep.terms.items()) == list(want.rep.terms.items())
     assert str(got) == str(want)
+    assert operand_terms(pairs) == before
+    assert not is_an_operand_map(got.rep.terms, pairs)
 
 
 def per_pair_terms(pairs):
@@ -154,17 +171,46 @@ operands = st.dictionaries(
                 (parse("2*x"), parse("x-y/4")), (Polynomial.zero(NAMES), parse("x+y"))],
          negated=[])
 @example(pairs=[(parse("x/2+y"), parse("z/3+1")), (parse("x/6"), parse("y"))], negated=[0, 1])
+# the first one-term product is adopted as the sum, and later ones merge into it
+@example(pairs=[(parse("x+y"), parse("1")), (parse("z"), parse("x-2")), (parse("1"), parse("y"))],
+         negated=[0])
 def test_sum_of_products_matches_per_pair_products(ring, pairs, negated):
     # each index in negated appends (-a, b) for that pair, which cancels it exactly
     pairs = pairs + [(-pairs[k][0], pairs[k][1]) for k in negated if k < len(pairs)]
+    before = operand_terms(pairs)
     got = _sum_of_products((a, b) for a, b in pairs)  # MatrixA passes a generator too
     want = per_pair_terms(pairs)
     assert got == want
+    assert operand_terms(pairs) == before
+    assert not is_an_operand_map(got, pairs)
     reduced = ring.nf(Polynomial._raw(NAMES, got))
     assert list(reduced.rep.terms.items()) == list(
         ring.nf(Polynomial._raw(NAMES, want)).rep.terms.items())
     assert list(ring.dot((a, b) for a, b in pairs).rep.terms.items()) == list(
         reduced.rep.terms.items())
+
+
+one_term = st.builds(
+    lambda m, c: Polynomial(NAMES, {m: c}),
+    st.tuples(*[st.integers(0, 2)] * len(NAMES)),
+    st.builds(GaussianRational, twelfths, twelfths).filter(bool),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(a=one_term, b=operands)
+@example(a=parse("2"), b=parse("x+i*y"))  # only the right factor has an imaginary part
+@example(a=parse("i/2*x"), b=parse("3*y-z/5"))
+@example(a=parse("(1-i)/3*z"), b=parse("(2+i)/5*x-i*y"))
+def test_one_term_product_matches_per_pair_products(a, b):
+    # a product with a one-term factor multiplies integer fields, in the
+    # reference's pair order, into a map of its own
+    before = operand_terms([(a, b)])
+    for left, right in ((a, b), (b, a)):
+        product = left * right
+        assert list(product.terms.items()) == list(pairwise_mul(left, right).terms.items())
+        assert not is_an_operand_map(product.terms, [(a, b)])
+    assert operand_terms([(a, b)]) == before
 
 
 @pytest.mark.parametrize("operand", ["x", "x+y"], ids=["one-term", "multi-term"])

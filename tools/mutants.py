@@ -59,6 +59,22 @@ MUTANTS = (
     (_POLY, "            if s:\n                result[m] = s",
      "            if s or True:\n                result[m] = s",
      "_add_terms keeps a cancelled sum as a zero term"),
+    # the one-term product path
+    (_POLY, "_gaussian(a * c - b * e, a * e + b * c, d * f) if b or e",
+     "_gaussian(a * c - b * e, a * e - b * c, d * f) if b or e",
+     "a one-term product's imaginary cross term takes the wrong sign"),
+    (_POLY, "d * f) if b or e\n", "d * f) if b\n",
+     "a one-term product takes the real-only shortcut when only its left factor is real"),
+    (_POLY, "acc = _add_terms(acc, (a * b)._terms) if acc else (a * b)._terms",
+     "acc = (a * b)._terms",
+     "each one-term product replaces the running sum instead of joining it"),
+    (_POLY, "acc = _add_terms(acc, (a * b)._terms) if acc else (a * b)._terms",
+     "acc = _add_terms(acc, (a * b)._terms) if acc else "
+     "(a._terms if b._terms == {(0, 0, 0): 1} else (a * b)._terms)",
+     "a product by one adopts the other operand's own map as the running sum"),
+    (_DERIV, "for index, image in enumerate(self.images) if image.rep",
+     "for index, image in enumerate(self.images)",
+     "_apply_rep forms a partial derivative for a zero image too"),
     # the reduction loop
     (_POLY, "size = 1 << max(map(sum, terms)).bit_length()",
      "size = 1 << (max(map(sum, terms)).bit_length() - 1)",
