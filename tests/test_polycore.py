@@ -409,11 +409,19 @@ def test_gaussian_accepts_only_int_and_fraction():
 @example(parse("x+y+1"), parse("y-x+x*y"))  # x*y cancels, then comes back last
 @example(parse("x/2+i*y/3"), parse("x/2-i*y/3"))
 @example(parse("x/6+y/4"), parse("6*x-4*y"))
+# one-term factors: only one side has an imaginary part, then both do
+@example(parse("2"), parse("x+i*y"))
+@example(parse("x+i*y"), parse("2"))
+@example(parse("(1-i)/3*z"), parse("(2+i)/5*x-i*y"))
 def test_integer_product_matches_pairwise_reference(p, q):
+    before = [list(p.terms.items()), list(q.terms.items())]
     product = p * q
     # same terms in the same order, so printed and hashed forms agree too
     assert list(product.terms.items()) == list(pairwise_mul(p, q).terms.items())
     assert all(canonical(c) for c in product.terms.values())
+    # the map is the product's own, which _sum_of_products may adopt as a sum
+    assert product.terms is not p.terms and product.terms is not q.terms
+    assert [list(p.terms.items()), list(q.terms.items())] == before
 
 
 def repeated_product(p, e):

@@ -190,29 +190,6 @@ def test_sum_of_products_matches_per_pair_products(ring, pairs, negated):
         reduced.rep.terms.items())
 
 
-one_term = st.builds(
-    lambda m, c: Polynomial(NAMES, {m: c}),
-    st.tuples(*[st.integers(0, 2)] * len(NAMES)),
-    st.builds(GaussianRational, twelfths, twelfths).filter(bool),
-)
-
-
-@settings(derandomize=True, deadline=None, max_examples=80, database=None)
-@given(a=one_term, b=operands)
-@example(a=parse("2"), b=parse("x+i*y"))  # only the right factor has an imaginary part
-@example(a=parse("i/2*x"), b=parse("3*y-z/5"))
-@example(a=parse("(1-i)/3*z"), b=parse("(2+i)/5*x-i*y"))
-def test_one_term_product_matches_per_pair_products(a, b):
-    # a product with a one-term factor multiplies integer fields, in the
-    # reference's pair order, into a map of its own
-    before = operand_terms([(a, b)])
-    for left, right in ((a, b), (b, a)):
-        product = left * right
-        assert list(product.terms.items()) == list(pairwise_mul(left, right).terms.items())
-        assert not is_an_operand_map(product.terms, [(a, b)])
-    assert operand_terms([(a, b)]) == before
-
-
 @pytest.mark.parametrize("operand", ["x", "x+y"], ids=["one-term", "multi-term"])
 def test_dot_rejects_mismatched_names_as_a_product_does(operand):
     a, b = parse(operand), parse("x+w", names=("x", "y", "w"))
