@@ -582,27 +582,28 @@ def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomi
     monomial of f, so the remainder is the canonical normal form of p
     modulo the ideal (f).
 
-    The working terms are visited largest first through a heap (Johnson
-    1974; Monagan and Pearce 2007), so each step costs O(log n) instead of a
-    scan of every remaining term. Its key is grevlex as one linear weight:
-    no monomial met has degree above D = deg p (a term of p is divisible by
-    the lead, so deg f <= D), so with M = 2^D.bit_length() and
-    top = M^(n-1), key(e) = top*deg(e) - sum e[k]*M^(k-1) over k >= 1.
+    The working terms are visited largest first through a heap (Johnson 1974;
+    Monagan and Pearce 2007), so each step costs O(log n) instead of a scan of
+    every remaining term. Its key is grevlex as one linear weight: no monomial
+    met has degree above D = deg p (a term of p is divisible by the lead, so
+    deg f <= D), so with M = _key_base(D) = 2^D.bit_length() and top = M^(n-1),
+    key(e) = top*deg(e) - sum e[k]*M^(k-1) over k >= 1. RuntimeError is raised
+    unless the key puts every tail monomial of f below the lead; then each pop
+    pushes only lower keys and no step raises the degree, so the loop ends.
 
-    A zero p, or a p with no term divisible by the lead, builds no heap: it
-    is its own remainder, copied in grevlex order when it has two terms or
-    more. Otherwise the tail of -f/lc is formed, one division per term, and
-    lifted to Gaussian-integer numerators over the lcm dt of its
-    denominators; p is lifted to numerators over the lcm d of its own. A
-    work entry (a, b, e) is (a + b*i)/e: a step from an entry over e writes
-    its products over e*dt, which is multiplied out once for each e, so
-    every denominator met is d*dt^j, and where two entries meet, the one
-    over the smaller denominator is scaled up to the larger. Each quotient and remainder coefficient is normalised once,
-    when it leaves the work; a quotient one is divided by lc only when lc
-    is not a unit. With dt = 1, as for any monic f over Z[i], every entry
-    stays over d. The lead is found per call, not per ring: the traced
-    benchmark needs calls of `MonomialOrder.key` on dense-shifted, which
-    builds its rings in set-up.
+    A zero p, or a p with no term divisible by the lead, builds no heap: it is
+    its own remainder, copied in grevlex order when it has two terms or more.
+    Otherwise the tail of -f/lc is formed, one division per term, and lifted to
+    Gaussian-integer numerators over the lcm dt of its denominators; p is lifted
+    to numerators over the lcm d of its own. A work entry (a, b, e) is
+    (a + b*i)/e: a step from an entry over e writes its products over e*dt,
+    multiplied out once per e, so every denominator met is d*dt^j, and where two
+    entries meet, the one over the smaller denominator is scaled up to the
+    larger. Each quotient and remainder coefficient is normalised once, when it
+    leaves the work; a quotient one is divided by lc only when lc is not a unit.
+    With dt = 1, as for any monic f over Z[i], every entry stays over d. The
+    lead is found per call, not per ring: the traced benchmark needs calls of
+    `MonomialOrder.key` on dense-shifted, which builds its rings in set-up.
     """
     if f.is_zero:
         raise ValueError("division by the zero polynomial")
@@ -616,7 +617,7 @@ def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomi
             p = Polynomial._raw(p.names, {e: terms[e] for e in sorted(terms, key=_heap_key)})
         return Polynomial._raw(p.names, {}), p
     lc = f._terms[lead]
-    size = 1 << max(map(sum, terms)).bit_length()
+    size = _key_base(max(map(sum, terms)))
     top = size ** (len(lead) - 1)
     weights = [top] + [top - size ** k for k in range(len(lead) - 1)]
     klead = sum(map(mul, lead, weights))
@@ -624,10 +625,11 @@ def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomi
     # t*fe, with -fc/lc = (ga + gb*i)/dg; then every entry is put over the
     # lcm dt of the dg. The heap holds negated keys; monomial maps each key
     # met to its exponents. A heap entry whose monomial has left the work is
-    # stale and skipped (it was pushed again if it came back). Tail products
-    # are below the popped monomial, so pops come in strictly decreasing order.
+    # stale and skipped (it was pushed again if it came back).
     tail = [(sum(map(mul, fe, weights)) - klead, fe, -(g := fc / lc)._a, -g._b, g._d)
             for fe, fc in f._terms.items() if fe != lead]
+    if tail and max(tail)[0] >= 0:  # else pops need not come in decreasing order
+        raise RuntimeError("the heap key does not put the tail of the divisor below its lead")
     dt = lcm(*[t[4] for t in tail])
     if dt != 1:
         tail = [(dk, fe, ga * (s := dt // dg), gb * s, dt) for dk, fe, ga, gb, dg in tail]
@@ -700,6 +702,10 @@ def divide_remainder(p: Polynomial, f: Polynomial) -> tuple[Polynomial, Polynomi
         else:
             remainder[exps] = _gaussian(a, b, e)
     return Polynomial._raw(p.names, quotient), Polynomial._raw(p.names, remainder)
+
+
+def _key_base(degree: int) -> int:
+    return 1 << degree.bit_length()  # M in divide_remainder's heap key
 
 
 def _heap_key(exps: tuple) -> tuple:

@@ -1,4 +1,4 @@
-"""Shared random generators and a CLI runner for the test suite.
+"""Shared random generators, a CLI runner and a call recorder for the test suite.
 
 Every test owns its seed; these helpers only consume the Random instance
 they are handed, so failures reproduce exactly.
@@ -55,6 +55,21 @@ def run_cli(*args, timeout=None):
         env=child_env(),
         timeout=timeout,
     )
+
+
+def record_calls(patch, owner, name: str) -> list[tuple]:
+    """Replace owner.name through patch.setattr with a wrapper that appends
+    each call's positional arguments to a list and forwards the call; return
+    that list. patch is the monkeypatch fixture or a MonkeyPatch.context()."""
+    calls = []
+    original = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    patch.setattr(owner, name, recorded)
+    return calls
 
 
 def prime_denominator_dividend() -> str:

@@ -22,6 +22,7 @@ from hyperconn import (
     reference_expected,
     trace_over_image,
 )
+from helpers import record_calls
 
 TRIPLES = [(2, 2, 2), (2, 3, 4), (3, 2, 4), (4, 3, 2), (3, 3, 3)]
 
@@ -159,14 +160,7 @@ def test_sphere_build_reduces_no_constant_multiple(monkeypatch):
     # (P + I)/2 and the fields k12/2, k13/2, -k23/2 are constant multiples of
     # normal forms, so only the products and the Koszul fields reduce (37 nf
     # calls when the 4 entries of (P + I)/2 and the 9 field images reduced)
-    calls = []
-    nf = QuotientRing.nf
-
-    def counting_nf(self, p):
-        calls.append(p)
-        return nf(self, p)
-
-    monkeypatch.setattr(QuotientRing, "nf", counting_nf)
+    calls = record_calls(monkeypatch, QuotientRing, "nf")
     build_sphere_line_bundle(1, 1, 1)
     assert len(calls) == 24
 

@@ -33,7 +33,7 @@ from hyperconn.deriv import Derivation
 from hyperconn.matring import MatrixA
 from hyperconn.polycore import MAX_EXPONENT, MAX_POWER_TERMS, parse
 from hyperconn.quotient import QuotientRing, RingElement
-from helpers import child_env, run_cli
+from helpers import child_env, record_calls, run_cli
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
 
@@ -265,13 +265,7 @@ def test_eval_operands_led_by_minus(capsys):
 def test_main_is_reentrant_and_builds_its_parser_once(monkeypatch):
     # COLUMNS fixes argparse's help width here and in the child processes
     monkeypatch.setenv("COLUMNS", "80")
-    built = []
-
-    def counting_build_parser():
-        built.append(1)
-        return build_parser()
-
-    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    built = record_calls(monkeypatch, cli, "build_parser")
     cli._parser.cache_clear()
     sequence = (
         ["verify", "ellipsoid", "--p", "2"],  # usage error, exit 2
@@ -331,14 +325,7 @@ def test_verification_shares_curvature_work(monkeypatch, example, triple):
     # P^2 and Phi^2, which its builder and the idempotent row share, and the
     # ellipsoid's Phi^2 and its nonflat-12 witness Phi*C (4 and 5 products
     # when every report formed Phi*C)
-    calls = []
-    original = MatrixA.__mul__
-
-    def counting_mul(self, other):
-        calls.append(1)
-        return original(self, other)
-
-    monkeypatch.setattr(MatrixA, "__mul__", counting_mul)
+    calls = record_calls(monkeypatch, MatrixA, "__mul__")
     run_verification(example, *triple)
     assert len(calls) == 2
 
@@ -350,31 +337,9 @@ def test_verification_shares_curvature_work(monkeypatch, example, triple):
 def test_verification_differentiates_phi_once_per_derivation(monkeypatch, example, triple):
     # the golden, connection and curvature rows share each delta(Phi) through
     # the presentation's memo, so a verify applies each derivation to Phi once
-    calls = []
-    original = Derivation.apply_to_matrix
-
-    def counting_apply(self, m):
-        calls.append(1)
-        return original(self, m)
-
-    monkeypatch.setattr(Derivation, "apply_to_matrix", counting_apply)
+    calls = record_calls(monkeypatch, Derivation, "apply_to_matrix")
     run_verification(example, *triple)
     assert len(calls) == 3
-
-
-def test_verification_applies_each_connection_to_dfvec_once(monkeypatch):
-    # formone-i and the inner application of nested-ji share A_{d_i}(dFvec):
-    # three applications for formone, two outer ones for nested (7 before)
-    calls = []
-    original = cli.connection_apply
-
-    def counting_apply(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(cli, "connection_apply", counting_apply)
-    run_verification("ellipsoid", 2, 3, 4)
-    assert len(calls) == 5
 
 
 @pytest.mark.parametrize(
@@ -384,68 +349,49 @@ def test_verification_applies_each_connection_to_dfvec_once(monkeypatch):
 def test_context_forms_the_shared_work_before_any_row(monkeypatch, example, triple, applications):
     # the build is followed by the three curvature reports and, when there is a
     # kernel generator k, each A_{d_i}(k); the rows then read them and apply
-    # only the nested rows' outer connections
-    calls = {"report": 0, "apply": 0}
-
-    def counting(key, function):
-        def counted(*args):
-            calls[key] += 1
-            return function(*args)
-
-        return counted
-
-    monkeypatch.setattr(cli, "curvature_report", counting("report", cli.curvature_report))
-    monkeypatch.setattr(cli, "connection_apply", counting("apply", cli.connection_apply))
+    # only the nested rows' outer connections: for the ellipsoid, formone-i and
+    # the inner application of nested-ji share A_{d_i}(dFvec) (7 before)
+    reports = record_calls(monkeypatch, cli, "curvature_report")
+    applied = record_calls(monkeypatch, cli, "connection_apply")
     ctx = cli._Context(example, *triple)
-    assert calls == {"report": 3, "apply": applications[0]}
+    assert (len(reports), len(applied)) == (3, applications[0])
     for _, check in ctx.family.rows:
         check(ctx)
-    assert calls == {"report": 3, "apply": sum(applications)}
+    assert (len(reports), len(applied)) == (3, sum(applications))
 
 
 @pytest.mark.parametrize("triple", [(1, 1, 1), (2, 1, 1)])
 def test_sphere_verify_computes_delta_f_once_per_koszul_field(monkeypatch, triple):
     # the scaled fields k12/2, k13/2 and -k23/2 keep the zero delta(f) that
     # koszul_derivations found, so the tangency rows reduce nothing (6 before)
-    calls = []
-    original = Derivation._apply_rep
-
-    def counting_apply_rep(self, rep):
-        if rep is self.ring.modulus:
-            calls.append(1)
-        return original(self, rep)
-
-    monkeypatch.setattr(Derivation, "_apply_rep", counting_apply_rep)
+    calls = record_calls(monkeypatch, Derivation, "_apply_rep")
     report = run_verification("sphere", *triple)
-    assert len(calls) == 3
+    assert sum(rep is delta.ring.modulus for delta, rep in calls) == 3
     assert all(c.status == "pass" for c in report.checks if c.name.startswith("tangency"))
 
 
 def test_sphere_reference_table_is_built_once(monkeypatch):
     # the nine displays and six traces of the sphere are one table, built the
     # first time a process reads it; a repeat verify reduces nothing to look up
-    calls = {"nf": 0, "reference": 0}
-    original_nf = QuotientRing.nf
+    reductions = record_calls(monkeypatch, QuotientRing, "nf")
+    in_reference = 0
     original_expected = catalog.reference_expected
 
-    def counting_nf(self, p):
-        calls["nf"] += 1
-        return original_nf(self, p)
-
     def expected(*args):
-        before = calls["nf"]
+        nonlocal in_reference
+        before = len(reductions)
         value = original_expected(*args)
-        calls["reference"] += calls["nf"] - before
+        in_reference += len(reductions) - before
         return value
 
-    monkeypatch.setattr(QuotientRing, "nf", counting_nf)
     monkeypatch.setattr(catalog, "reference_expected", expected)
     catalog._sphere_displays.cache_clear()
     counts = []
     for example, triple in [("sphere", (1, 1, 1))] * 2 + [("ellipsoid", (2, 3, 4))]:
-        calls.update(nf=0, reference=0)
+        reductions.clear()
+        in_reference = 0
         run_verification(example, *triple)
-        counts.append((calls["nf"], calls["reference"]))
+        counts.append((len(reductions), in_reference))
     assert catalog._sphere_displays.cache_info().misses == 1
     assert counts[0][0] <= 124  # 208 when each lookup rebuilt every display
     # 90 and 278 when the identity rows recomputed Phi^2, P^2, Phi*k and delta(f)
@@ -460,14 +406,7 @@ def test_sphere_reference_table_is_built_once(monkeypatch):
 def test_verification_builds_one_ring(monkeypatch, example, triple):
     # the build, the goldens and the sphere's display table share the ring of
     # the last modulus built; 12 and 2 rings when each made its own
-    made = []
-    original_init = QuotientRing.__init__
-
-    def counting_init(self, modulus):
-        made.append(modulus)
-        original_init(self, modulus)
-
-    monkeypatch.setattr(QuotientRing, "__init__", counting_init)
+    made = record_calls(monkeypatch, QuotientRing, "__init__")
     catalog._fermat_ring.cache_clear()
     catalog._sphere_displays.cache_clear()
     run_verification(example, *triple)

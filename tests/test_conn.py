@@ -162,6 +162,19 @@ def test_curvature_report_flatness_is_phi_times_commutator(build, params):
         assert report.to_json()["flat"] is report.flat
 
 
+def test_the_free_complement_is_flat_where_the_module_is_not():
+    # Psi = I - Phi = grad(f)*E^T presents the free line spanned by grad f.
+    # Each commutator C of that presentation kills grad f, so Psi*C = C*Psi = 0
+    # and the pair is flat although C is not; the module itself is not flat
+    ex = build_ellipsoid_cotangent(2, 3, 4)
+    complement = make_presentation(ex.ring, ex.presentation.psi)
+    for delta, eta in combinations(ex.derivations, 2):
+        free = curvature_report(complement, delta, eta, "a", "b")
+        assert free.flat and not free.commutator.is_zero
+        assert free.trace_image.is_zero and free.trace_kernel.is_zero
+        assert not curvature_report(ex.presentation, delta, eta, "a", "b").flat
+
+
 def test_curvature_report_scans_phi_times_c_up_to_its_first_nonzero_entry(monkeypatch):
     ex = build_ellipsoid_cotangent(2, 3, 4)
     pres, (d1, d2, _) = ex.presentation, ex.derivations

@@ -21,6 +21,7 @@ from helpers import (
     random_element,
     random_matrix,
     random_tangent,
+    record_calls,
     rotations,
     unit_sphere,
 )
@@ -143,14 +144,7 @@ def test_str_rendering():
 
 def test_hash_is_computed_once_and_by_value(monkeypatch):
     d1, *_ = rotations()
-    calls = []
-    original = Polynomial.__hash__
-
-    def counting_hash(self):
-        calls.append(1)
-        return original(self)
-
-    monkeypatch.setattr(Polynomial, "__hash__", counting_hash)
+    calls = record_calls(monkeypatch, Polynomial, "__hash__")
     delta = Derivation(SPHERE, ("y", "-x", "0"))
     first = hash(delta)
     walked = len(calls)
@@ -162,17 +156,10 @@ def test_hash_is_computed_once_and_by_value(monkeypatch):
 
 
 def test_modulus_image_is_computed_once_per_derivation(monkeypatch):
-    calls = []
-    original = Derivation._apply_rep
-
-    def counting_apply(self, rep):
-        calls.append(rep)
-        return original(self, rep)
-
-    monkeypatch.setattr(Derivation, "_apply_rep", counting_apply)
+    calls = record_calls(monkeypatch, Derivation, "_apply_rep")
     # the check at construction computes delta(f); later calls return it
     delta = Derivation(SPHERE, ("y", "-x", "0"))
-    assert calls == [SPHERE.modulus]
+    assert calls == [(delta, SPHERE.modulus)]
     first = delta.modulus_image()
     assert first.is_zero and delta.modulus_image() is first
     assert len(calls) == 1
@@ -182,7 +169,7 @@ def test_modulus_image_is_computed_once_per_derivation(monkeypatch):
     assert calls == []
     image = scaled.modulus_image()
     assert image.is_zero and scaled.modulus_image() is image
-    assert calls == [SPHERE.modulus]
+    assert calls == [(scaled, SPHERE.modulus)]
     # an unchecked non-tangent derivation reports its delta(f) exactly
     radial = Derivation(SPHERE, ("x", "y", "z"), _checked=True)
     assert radial.modulus_image() == SPHERE.element(parse("2"))
@@ -191,7 +178,7 @@ def test_modulus_image_is_computed_once_per_derivation(monkeypatch):
     half = delta * SPHERE.element(parse("1/2"))
     assert half.modulus_image() is first and calls == []
     assert (radial * SPHERE.element(parse("x"))).modulus_image() == SPHERE.element(parse("2*x"))
-    assert calls == [SPHERE.modulus]
+    assert [rep for _, rep in calls] == [SPHERE.modulus]
 
 
 def test_a_zero_image_is_paired_with_no_partial_derivative(monkeypatch):
@@ -206,14 +193,11 @@ def test_a_zero_image_is_paired_with_no_partial_derivative(monkeypatch):
                      for k, image in enumerate(delta.images)), Polynomial.zero(NAMES)))
         for delta in fields
     ]
-    calls = []
-    original = Polynomial.partial_derivative
-    monkeypatch.setattr(Polynomial, "partial_derivative",
-                        lambda self, index: calls.append(index) or original(self, index))
+    calls = record_calls(monkeypatch, Polynomial, "partial_derivative")
     for delta, pair, want in zip(fields, [(0, 1), (0, 2), (1, 2)], chain_rule):
         calls.clear()
         got = delta.apply(a)
-        assert calls == list(pair)
+        assert [index for _, index in calls] == list(pair)
         assert got == want and str(got) == str(want)
 
 

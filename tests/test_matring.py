@@ -19,7 +19,7 @@ from hyperconn import (
     parse,
 )
 from hyperconn.matring import trace_product
-from helpers import NAMES, random_element, random_matrix, random_polynomial
+from helpers import NAMES, random_element, random_matrix, random_polynomial, record_calls
 
 SPHERE = QuotientRing(parse("x^2+y^2+z^2-1"))
 
@@ -200,14 +200,7 @@ def test_constant_scale_and_cayley_hamilton_reduce_only_products(monkeypatch):
         SPHERE, [["x/2+1/2", "y/2", "z/2-i/2"], ["x", "y*z/2+1/2", "3/2"], ["x/2-y/2", "1/4", "z/2"]]
     )
     cp = g.char_poly()
-    calls = []
-    nf = QuotientRing.nf
-
-    def counting_nf(self, p):
-        calls.append(p)
-        return nf(self, p)
-
-    monkeypatch.setattr(QuotientRing, "nf", counting_nf)
+    calls = record_calls(monkeypatch, QuotientRing, "nf")
     assert g.scale(Fraction(1, 2)) == half
     assert calls == []
     assert cp.evaluate_matrix(g).is_zero
@@ -367,14 +360,7 @@ def test_cofactor_expansion_reduces_once_per_coefficient(monkeypatch):
     # one nf per coefficient of each minor: the 2x2 minors 1 each and the
     # top row 1 for the determinant; 2, 2 and 1 for the minors of tI - g and
     # 4 for its char poly; 7 for a product of two cubics
-    calls = []
-    nf = QuotientRing.nf
-
-    def counting_nf(self, p):
-        calls.append(p)
-        return nf(self, p)
-
-    monkeypatch.setattr(QuotientRing, "nf", counting_nf)
+    calls = record_calls(monkeypatch, QuotientRing, "nf")
     DENSE.determinant()
     assert len(calls) == 4
     calls.clear()

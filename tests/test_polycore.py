@@ -21,6 +21,8 @@ from hyperconn import (
     divide_remainder,
     parse,
 )
+from hyperconn import polycore
+from hyperconn.cli import main
 from hyperconn.polycore import MAX_EXPONENT, MAX_NESTING, _heap_key
 from helpers import (
     NAMES,
@@ -29,6 +31,7 @@ from helpers import (
     pairwise_mul,
     random_gaussian,
     random_polynomial,
+    record_calls,
 )
 
 # Deterministic and bounded, so the property tests run the same examples
@@ -648,10 +651,24 @@ def test_integer_key_division_matches_rescan_at_key_bases(case):
     assert list(rem.terms.items()) == list(ref_rem.terms.items())
 
 
+def test_a_heap_key_that_misorders_the_tail_raises_at_once(monkeypatch, capsys):
+    # with the key base halved, key(x^3) = key(z^4) = 48 for degree 4, so a
+    # pop could push its own key again; the guard raises before the loop, and
+    # verify reports one internal error instead of hanging
+    monkeypatch.setattr(polycore, "_key_base", lambda degree: 1 << (degree.bit_length() - 1))
+    with pytest.raises(RuntimeError, match="heap key"):
+        divide_remainder(parse("z^4"), parse("x^3+y^3+z^4-1"))
+    # a one-term divisor has an empty tail, which passes
+    q, rem = divide_remainder(parse("x*y+z"), parse("x"))
+    assert (str(q), str(rem)) == ("y", "z")
+    assert main(["verify", "ellipsoid", "--p", "3", "--q", "3", "--r", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: RuntimeError: the heap key")
+    assert captured.err.count("\n") == 1
+
+
 def test_zero_dividend_returns_before_finding_the_lead(monkeypatch):
-    calls = []
-    key = MonomialOrder.key
-    monkeypatch.setattr(MonomialOrder, "key", lambda self, e: calls.append(e) or key(self, e))
+    calls = record_calls(monkeypatch, MonomialOrder, "key")
     names = ("u", "v")
     q, rem = divide_remainder(Polynomial(names), Polynomial(names, {(2, 0): 1, (0, 1): -1}))
     assert q.is_zero and rem.is_zero and q.names == rem.names == names

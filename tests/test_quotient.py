@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hyperconn import GaussianRational, Polynomial, QuotientRing, parse
 from hyperconn.polycore import _add_terms, _sum_of_products
-from helpers import NAMES, pairwise_mul, random_element, random_polynomial
+from helpers import NAMES, pairwise_mul, random_element, random_polynomial, record_calls
 
 SPHERE = QuotientRing(parse("x^2+y^2+z^2-1"))
 CUBIC = QuotientRing(parse("x^2*y+y^2*z+x*z^2-1"))
@@ -93,10 +93,8 @@ def test_constant_factor_leaves_a_normal_form(ring, a, c):
     # product skips nf on either side and still equals the reduced product
     a, c = ring.element(a), ring.element(c)
     expected = ring.nf(a.rep * c.rep)
-    calls = []
-    nf = QuotientRing.nf
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(QuotientRing, "nf", lambda self, p: calls.append(p) or nf(self, p))
+        calls = record_calls(patch, QuotientRing, "nf")
         products = (a * c, c * a)
     assert products == (expected, expected)
     assert str(products[0]) == str(expected)
@@ -207,21 +205,10 @@ def test_dot_multiplies_only_the_one_term_pairs_and_reduces_once(monkeypatch):
     zero = [(Polynomial.zero(NAMES), parse("x+y")), (parse("x"), Polynomial.zero(NAMES))]
     pairs = one_term + zero + multi_term
     want = CUBIC.nf(Polynomial._raw(NAMES, per_pair_terms(pairs)))
-    calls = {"mul": 0, "nf": 0}
-    mul, nf = Polynomial.__mul__, QuotientRing.nf
-
-    def counting_mul(self, other):
-        calls["mul"] += 1
-        return mul(self, other)
-
-    def counting_nf(self, p):
-        calls["nf"] += 1
-        return nf(self, p)
-
-    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
-    monkeypatch.setattr(QuotientRing, "nf", counting_nf)
+    products = record_calls(monkeypatch, Polynomial, "__mul__")
+    reductions = record_calls(monkeypatch, QuotientRing, "nf")
     got = CUBIC.dot(pair for pair in pairs)
-    assert calls == {"mul": len(one_term), "nf": 1}
+    assert (len(products), len(reductions)) == (len(one_term), 1)
     assert got == want
 
 

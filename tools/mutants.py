@@ -19,13 +19,16 @@ line, in list order:
 - survived: every test passed, so no test notices the edit;
 - stale: the old text is not in the file exactly once, so the entry no
   longer fits the code and should be rewritten or dropped;
-- timeout: the run took longer than TIMEOUT seconds;
+- timeout: the run took longer than TIMEOUT_FACTOR times the unmutated
+  copy's seconds, or TIMEOUT_FLOOR seconds if that is more (the unmutated
+  copy itself fails after UNMUTATED_TIMEOUT seconds);
 - error: pytest ended any other way (usage error, internal error, no tests),
   which says nothing about the edit.
 
 A summary line follows. The tool is no test gate: a survivor costs a whole
-suite run. Exit status 0 once every mutant has been run without an error, 1
-if the unmutated copy fails or some mutant's run ends in an error.
+suite run. Exit status 0 once every mutant has been run without an error or
+a timeout, 1 if the unmutated copy fails or some mutant's run ends in an
+error or a timeout, since neither says anything about the edit.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKERS = 2  # suite copies run at once
-TIMEOUT = 600  # seconds for one copy's suite
+UNMUTATED_TIMEOUT = 600  # seconds for the unmutated copy's suite
+TIMEOUT_FACTOR, TIMEOUT_FLOOR = 5, 60  # a mutant copy's timeout, from the unmutated run
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
 
 _POLY, _QUOT, _DERIV = "src/hyperconn/polycore.py", "src/hyperconn/quotient.py", "src/hyperconn/deriv.py"
@@ -76,8 +80,7 @@ MUTANTS = (
      "for index, image in enumerate(self.images)",
      "_apply_rep forms a partial derivative for a zero image too"),
     # the reduction loop
-    (_POLY, "size = 1 << max(map(sum, terms)).bit_length()",
-     "size = 1 << (max(map(sum, terms)).bit_length() - 1)",
+    (_POLY, "return 1 << degree.bit_length()", "return 1 << (degree.bit_length() - 1)",
      "divide_remainder's heap-key base no larger than the degree"),
     (_POLY, "if not any(all(map(ge, e, lead)) for e in terms):",
      "if not all(all(map(ge, e, lead)) for e in terms):",
@@ -147,9 +150,12 @@ def _checkout_files() -> list[str]:
     return [name for name in listed.split("\0") if name and (ROOT / name).is_file()]
 
 
-def _suite(files: list[str], edit: tuple[str, str] | None = None) -> tuple[int | None, str, float]:
+def _suite(
+    files: list[str], edit: tuple[str, str] | None = None, timeout: float | None = None
+) -> tuple[int | None, str, float]:
     """(pytest exit code, None on a timeout; output; seconds) for one copy of
-    the checkout, with edit = (path, text) written over one file."""
+    the checkout, with edit = (path, text) written over one file, stopped
+    after timeout seconds unless timeout is None."""
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
@@ -166,7 +172,7 @@ def _suite(files: list[str], edit: tuple[str, str] | None = None) -> tuple[int |
             start_new_session=True,
         )
         try:
-            out, _ = proc.communicate(timeout=TIMEOUT)
+            out, _ = proc.communicate(timeout=timeout)
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
@@ -179,15 +185,15 @@ def _last_line(out: str) -> str:
     return lines[-1] if lines else ""
 
 
-def _run(number: int, files: list[str]) -> tuple[str, str, float]:
-    """(status, detail, seconds) for one mutant."""
+def _run(number: int, files: list[str], timeout: float) -> tuple[str, str, float]:
+    """(status, detail, seconds) for one mutant, run with the given timeout."""
     path, old, new, _ = MUTANTS[number - 1]
     text = (ROOT / path).read_text(encoding="utf-8")
     if text.count(old) != 1:
         return "stale", f"old text found {text.count(old)} times in {path}", 0.0
-    code, out, seconds = _suite(files, (path, text.replace(old, new)))
+    code, out, seconds = _suite(files, (path, text.replace(old, new)), timeout)
     if code is None:
-        return "timeout", f"over {TIMEOUT} s", seconds
+        return "timeout", f"over {timeout:.0f} s", seconds
     if code == 0:
         return "survived", "", seconds
     if code == 1 or (code == 2 and "ERROR collecting " in out):
@@ -198,17 +204,19 @@ def _run(number: int, files: list[str]) -> tuple[str, str, float]:
 
 def main() -> int:
     files = _checkout_files()
-    code, out, seconds = _suite(files)
+    code, out, seconds = _suite(files, timeout=UNMUTATED_TIMEOUT)
     if code != 0:
-        ended = f"over {TIMEOUT} s" if code is None else f"exit {code}: {_last_line(out)}"
+        ended = f"over {UNMUTATED_TIMEOUT} s" if code is None else f"exit {code}: {_last_line(out)}"
         print(f"the unmutated copy fails ({ended}), so no mutant is run", file=sys.stderr)
         return 1
-    print(f"unmutated copy passes in {seconds:.1f}s", flush=True)
+    timeout = max(TIMEOUT_FLOOR, TIMEOUT_FACTOR * seconds)
+    print(f"unmutated copy passes in {seconds:.1f}s; each mutant's timeout is {timeout:.0f} s",
+          flush=True)
     numbers = range(1, len(MUTANTS) + 1)
     start = time.perf_counter()
     tally = {"killed": 0, "survived": 0, "stale": 0, "timeout": 0, "error": 0}
     with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        runs = pool.map(lambda n: _run(n, files), numbers)
+        runs = pool.map(lambda n: _run(n, files, timeout), numbers)
         for number, (status, detail, seconds) in zip(numbers, runs):
             path, _, _, reason = MUTANTS[number - 1]
             tally[status] += 1
@@ -216,7 +224,7 @@ def main() -> int:
                   + (f"  [{detail}]" if detail else ""), flush=True)
     print(f"{len(MUTANTS)} mutants: " + ", ".join(f"{n} {s}" for s, n in tally.items())
           + f" in {time.perf_counter() - start:.0f} s")
-    return 1 if tally["error"] else 0
+    return 1 if tally["error"] or tally["timeout"] else 0
 
 
 if __name__ == "__main__":
