@@ -1,4 +1,5 @@
-"""Shared random generators, a CLI runner and a call recorder for the test suite.
+"""Shared random generators, a CLI runner, a call recorder and a tool loader
+for the test suite.
 
 Every test owns its seed; these helpers only consume the Random instance
 they are handed, so failures reproduce exactly.
@@ -6,6 +7,8 @@ they are handed, so failures reproduce exactly.
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -18,7 +21,8 @@ from random import Random
 from hyperconn import Derivation, GaussianRational, MatrixA, Polynomial, QuotientRing, parse
 
 NAMES = ("x", "y", "z")
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 @cache
@@ -38,6 +42,20 @@ def rotations() -> tuple[Derivation, Derivation, Derivation]:
     ring = unit_sphere()
     return (Derivation(ring, ("y", "-x", "0")), Derivation(ring, ("z", "0", "-x")),
             Derivation(ring, ("0", "z", "-y")))
+
+
+def load_schema() -> dict:
+    """The JSON schema of a `--json` verify report."""
+    return json.loads((ROOT / "docs" / "report-schema.json").read_text(encoding="utf-8"))
+
+
+def load_module(path: str):
+    """The Python file at path, relative to the repository root, run as a
+    fresh module named after its stem and left out of sys.modules."""
+    spec = importlib.util.spec_from_file_location(Path(path).stem, ROOT / path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def child_env() -> dict:

@@ -11,6 +11,8 @@ import json
 import time
 from random import Random
 
+import jsonschema
+
 from hyperconn import (
     Derivation,
     MatrixA,
@@ -30,14 +32,15 @@ from hyperconn import (
     trace_over_kernel,
 )
 from hyperconn.cli import CheckResult, VerificationReport, run_verification
-from helpers import random_element, random_matrix, random_tangent, run_cli
+from helpers import load_schema, random_element, random_matrix, random_tangent, run_cli
 
 TRIPLES = list(itertools.product((2, 3, 4), repeat=3))
 
 
 def test_ellipsoid_identities_all_27_triples():
     """Idempotency, kernel, tangency, differentials, one-form scalars,
-    and bracket relations for every (p, q, r) in {2,3,4}^3, under 60 s."""
+    nested-operator scalars and bracket relations for every (p, q, r) in
+    {2,3,4}^3, under 60 s."""
     start = time.perf_counter()
     assert len(TRIPLES) == 27
     for p, q, r in TRIPLES:
@@ -58,16 +61,24 @@ def test_ellipsoid_identities_all_27_triples():
                     f.partial_derivative(k)
                 )
             assert image_of_f.is_zero, (p, q, r)
+            assert d.modulus_image().is_zero, (p, q, r)
 
         for i, d in enumerate(ex.derivations, 1):
             golden = reference_expected("ellipsoid", f"d{i}M", p, q, r)
             assert d.apply_to_matrix(phi) == golden, (p, q, r, i)
 
-        for i, d in enumerate(ex.derivations, 1):
+        applied = [connection_apply(ex.presentation, d, ex.dFvec) for d in ex.derivations]
+        for i, vector in enumerate(applied, 1):
             scalar = reference_expected("ellipsoid", f"formone-scalar-{i}", p, q, r)
-            applied = connection_apply(ex.presentation, d, ex.dFvec)
-            for a, v in zip(applied, ex.dFvec):
+            for a, v in zip(vector, ex.dFvec):
                 assert (a - scalar * v).is_zero, (p, q, r, i)
+
+        # nested-12 applies d2 first, then d1; nested-21 the other way round
+        for outer, inner, tag in ((d1, applied[1], "12"), (d2, applied[0], "21")):
+            scalar = reference_expected("ellipsoid", f"nested-{tag}-scalar", p, q, r)
+            nested = connection_apply(ex.presentation, outer, inner)
+            for a, v in zip(nested, ex.dFvec):
+                assert (a - scalar * v).is_zero, (p, q, r, tag)
 
         pairs = (
             (d1, d2, d3, "12"),
@@ -104,8 +115,9 @@ def test_ellipsoid_curvature_all_27_triples():
 
 
 def test_sphere_line_bundle_goldens():
-    """Involution, idempotent, differential and curvature goldens, and the
-    three nonzero curvature traces for the unit sphere bundle, under 5 s."""
+    """Involution, idempotent, differential and curvature goldens (corrected
+    and printed displays), and the three nonzero curvature traces with their
+    printed multiples, for the unit sphere bundle, under 5 s."""
     start = time.perf_counter()
     ex = build_sphere_line_bundle(1, 1, 1)
     ring = ex.ring
@@ -120,6 +132,7 @@ def test_sphere_line_bundle_goldens():
     assert dm[1] == reference_expected("sphere", "d2M", 1, 1, 1)
 
     printed = reference_expected("sphere", "d3M-printed", 1, 1, 1)
+    assert dm[2] == reference_expected("sphere", "d3M-corrected", 1, 1, 1)
     assert dm[2] == printed * -1
     assert dm[2] != printed
     report = run_verification("sphere", 1, 1, 1)
@@ -127,14 +140,27 @@ def test_sphere_line_bundle_goldens():
     assert by_name["d3M-sign"] == "discrepancy"
     assert not report.failed
 
-    assert commutator(dm[0], dm[1]) == reference_expected("sphere", "R12", 1, 1, 1)
+    pairs = ((0, 1, "12"), (0, 2, "13"), (1, 2, "23"))
+    curvature = {tag: commutator(dm[i], dm[j]) for i, j, tag in pairs}
+    assert curvature["12"] == reference_expected("sphere", "R12", 1, 1, 1)
+    # the pair-13 display carries the d3M sign through: computed = -printed
+    assert curvature["13"] == reference_expected("sphere", "R13-corrected", 1, 1, 1)
+    assert curvature["13"] == -reference_expected("sphere", "R13-printed", 1, 1, 1)
+    # the pair-23 display additionally misprints one entry, so the printed
+    # matrix matches the computation in neither sign
+    printed23 = reference_expected("sphere", "R23-printed", 1, 1, 1)
+    assert curvature["23"] == reference_expected("sphere", "R23-corrected", 1, 1, 1)
+    assert curvature["23"] != printed23
+    assert curvature["23"] != -printed23
 
     pres_m = make_presentation(ring, m)
-    for i, j, tag in ((0, 1, "12"), (0, 2, "13"), (1, 2, "23")):
-        computed = trace_over_image(pres_m, commutator(dm[i], dm[j]))
+    for tag, c in curvature.items():
+        computed = trace_over_image(pres_m, c)
         golden = reference_expected("sphere", f"trace-{tag}-image", 1, 1, 1)
         assert computed == golden, tag
         assert not computed.is_zero, tag
+        printed_trace = reference_expected("sphere", f"trace-{tag}-printed", 1, 1, 1)
+        assert printed_trace == computed * (2 if tag == "12" else -2), tag
 
     assert time.perf_counter() - start < 5.0
 
@@ -263,9 +289,10 @@ def test_shifted_connection_identity():
 
 
 def test_cli_contract():
-    """JSON output is byte-deterministic across runs and parallelism, exit
-    codes match the documented contract, and the full parameter sweep at
-    --max 4 finishes under 60 s."""
+    """JSON output is byte-deterministic across runs and parallelism, every
+    ellipsoid (2,3,4) check passes with zero traces in a schema-valid report,
+    exit codes match the documented contract, and the full parameter sweep
+    at --max 4 finishes under 60 s."""
     baseline = run_cli("verify", "ellipsoid", "--p", "2", "--q", "3", "--r", "4", "--json")
     assert baseline.returncode == 0
     repeat = run_cli("verify", "ellipsoid", "--p", "2", "--q", "3", "--r", "4", "--json")
@@ -275,14 +302,25 @@ def test_cli_contract():
     )
     assert repeat.stdout == baseline.stdout
     assert parallel.stdout == baseline.stdout
+    assert repeat.returncode == parallel.returncode == 0
     payload = json.loads(baseline.stdout)
+    assert payload["example"] == "ellipsoid"
+    assert payload["parameters"] == {"p": 2, "q": 3, "r": 4}
     assert payload["summary"]["fail"] == 0
+    assert payload["summary"]["discrepancy"] == 0
+    assert {check["status"] for check in payload["checks"]} == {"pass"}
+    for entry in payload["curvature"]:
+        assert entry["trace_image"] == "0"
+        assert entry["trace_kernel"] == "0"
+        assert entry["flat"] is False
+    jsonschema.validate(payload, load_schema())
 
     with_discrepancies = run_cli("verify", "sphere", "--p", "1", "--q", "1", "--r", "1")
     assert with_discrepancies.returncode == 0
 
     usage = run_cli("verify", "ellipsoid", "--p", "1", "--q", "2", "--r", "2")
     assert usage.returncode == 2
+    assert "requires p, q, r >= 2" in usage.stderr
     bad_expr = run_cli("eval", "x +", "mod", "x^2+y^2+z^2-1")
     assert bad_expr.returncode == 2
 

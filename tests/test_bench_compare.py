@@ -1,27 +1,17 @@
 """tools/bench_compare.py on synthetic BENCH files: pairing, wins, the gain
 rule in both metric directions, the bound verdicts, failed shares, work
-counts, and argument checks; and the counts tools/bench_record.py stores."""
+counts, and argument checks."""
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+from helpers import load_module
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench_compare = _load("bench_compare")
-bench_record = _load("bench_record")
+bench_compare = load_module("tools/bench_compare.py")
+bench_record = load_module("tools/bench_record.py")  # writes the summaries record() holds
 
 # direction and bound of two of the end-to-end metrics of BENCHMARK.json
 BETTER = {"ops_per_s": ("higher", 0.2), "latency_p50_ms": ("lower", 0.15)}
@@ -212,35 +202,6 @@ def test_records_without_counts_compare_as_before():
         assert table["w"]["counts"] == []
         assert "counts" not in bench_compare.render(table)
         assert len(bench_compare.render(table).splitlines()) == 4
-
-
-def test_bench_record_stores_the_counts_of_one_traced_run_per_workload(
-        tmp_path, monkeypatch, capsys):
-    calls = []
-
-    def fake_bench(workload, seed, seconds, trace):
-        calls.append((workload, seed, trace))
-        metrics = {name: {"value": 1.5, "unit": "u"} for name in bench_record.METRICS}
-        if trace:
-            metrics = {"polycore.mul.calls": {"value": 259.5},
-                       "polycore.mul.self_s": {"value": 0.01},
-                       "polycore.mul.term_pairs": {"value": 1415.0},
-                       "polycore.divide_remainder.term_updates": {"value": 1057.25},
-                       "polycore.divide_remainder.terms_in": {"value": 4},
-                       "trace.coverage": {"value": 0.9}}
-        return {"attempted": 10, "failed": 0, "metrics": metrics}
-
-    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
-    monkeypatch.setattr(bench_record, "git", lambda *args: "" if args[0] == "status" else "c0")
-    monkeypatch.setattr(bench_record, "bench", fake_bench)
-    for seed in ("5", "6"):
-        assert bench_record.main(["t", "dense-shifted", seed]) == 0
-    capsys.readouterr()
-    assert calls == [("dense-shifted", 5, 0), ("dense-shifted", 1, 1), ("dense-shifted", 6, 0)]
-    entry = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["dense-shifted"]
-    assert entry["counts"] == {"polycore.mul.calls": 259.5, "polycore.mul.term_pairs": 1415.0,
-                               "polycore.divide_remainder.term_updates": 1057.25}
-    assert [run["seed"] for run in entry["runs"]] == [5, 6]
 
 
 @pytest.mark.parametrize("argv", [[], ["p"], ["p", "c", "x"], ["../p", "c"], ["p", "c.json"]])

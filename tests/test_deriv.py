@@ -89,22 +89,6 @@ def test_bracket_is_a_tangent_derivation():
         assert br.apply(a) == delta.apply(eta.apply(a)) - eta.apply(delta.apply(a))
 
 
-def test_bracket_antisymmetry_and_jacobi():
-    gens = rotations()
-    rng = Random(271828)
-    for _ in range(15):
-        d = random_tangent(rng, SPHERE, gens, max_degree=1, max_terms=1)
-        e = random_tangent(rng, SPHERE, gens, max_degree=1, max_terms=1)
-        f = random_tangent(rng, SPHERE, gens, max_degree=1, max_terms=1)
-        assert bracket(d, e) == -bracket(e, d)
-        jacobi = (
-            bracket(d, bracket(e, f))
-            + bracket(e, bracket(f, d))
-            + bracket(f, bracket(d, e))
-        )
-        assert jacobi.is_zero
-
-
 def test_rotation_bracket_closes():
     d1, d2, d3 = rotations()
     # [y d/dx - x d/dy, z d/dx - x d/dz] sends y to z and z to -y

@@ -1,18 +1,14 @@
-"""tools/mutants.py tells a kill from a harness failure, stops when the
-unmutated copy fails, times each mutant by the unmutated run, and reports a
-stale edit, all without running the suite."""
+"""tools/mutants.py tells a kill from a harness failure, names every failing
+test of a kill, stops when the unmutated copy fails, times each mutant by
+the unmutated run, and reports a stale edit, all without running the suite."""
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
-_spec = importlib.util.spec_from_file_location("mutants", TOOL)
-mutants = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(mutants)
+from helpers import load_module
+
+mutants = load_module("tools/mutants.py")
 
 
 @pytest.fixture
@@ -45,6 +41,9 @@ def test_an_edit_whose_old_text_is_gone_is_stale(monkeypatch):
 
 @pytest.mark.parametrize("code, out, status, detail", [
     (1, "FAILED tests/test_cli.py::test_a - assert 0\n1 failed", "killed", "tests/test_cli.py::test_a"),
+    (1, "FAILED tests/test_a.py::test_a - assert 0\nFAILED tests/test_b.py::test_b[x --y]\n"
+        "ERROR tests/test_b.py::test_b[x --y] - z\n2 failed, 1 error", "killed",
+     "tests/test_a.py::test_a, tests/test_b.py::test_b[x --y]"),
     (2, "___ ERROR collecting tests/test_conn.py ___\nERROR tests/test_conn.py\n"
         "Interrupted: 1 error during collection", "killed", "tests/test_conn.py"),
     (2, "KeyboardInterrupt\n1 passed", "error", "pytest exit 2: 1 passed"),
@@ -53,7 +52,12 @@ def test_an_edit_whose_old_text_is_gone_is_stale(monkeypatch):
     (0, "314 passed", "survived", ""),
     (None, "", "timeout", "over 60 s"),
 ])
-def test_only_a_failing_test_or_module_is_a_kill(suite, code, out, status, detail):
+def test_only_a_failing_test_or_module_is_a_kill(suite, monkeypatch, tmp_path, code, out, status,
+                                                detail):
+    # an edit of a file of its own, which no mutant copy of src/ has already made
+    (tmp_path / "module.py").write_text("old\n")
+    monkeypatch.setattr(mutants, "ROOT", tmp_path)
+    monkeypatch.setattr(mutants, "MUTANTS", (("module.py", "old", "new", "an edit"),))
     outcome, calls = suite
     outcome["mutant"] = (code, out, 1.0)
     assert mutants._run(1, [], 60) == (status, detail, 1.0)

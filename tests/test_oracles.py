@@ -7,10 +7,8 @@ imports it.
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
 import json
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -29,6 +27,7 @@ from hyperconn import (
 )
 from hyperconn.cli import main
 from helpers import (
+    load_module,
     nonzero_polynomial,
     prime_denominator_dividend,
     random_gaussian,
@@ -227,15 +226,7 @@ def test_sphere_traces_rederived_with_sympy():
         assert divisible(to_sympy(golden.rep) - expected_traces[tag], f)
 
 
-def _load_oracle_sweep():
-    path = Path(__file__).resolve().parent.parent / "tools" / "oracle_sweep.py"
-    spec = importlib.util.spec_from_file_location("oracle_sweep", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-oracle_sweep = _load_oracle_sweep()
+oracle_sweep = load_module("tools/oracle_sweep.py")
 
 
 @pytest.mark.parametrize(

@@ -10,27 +10,18 @@ name in src/ fails here too, not only in perfbench/test_smoke.py.
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
 import hyperconn.cli  # noqa: F401  (imports every module the tracer binds)
+from helpers import ROOT, load_module
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-WORKLOADS = json.loads((PERFBENCH / "workloads.json").read_text())
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+WORKLOADS = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
 
 
 def test_tracer_installs_and_restores_every_binding():
-    tracer = _load("tracer")
+    tracer = load_module("perfbench/tracer.py")
     modules, classes = tracer._hyperconn_namespaces()
     before = {namespace: dict(vars(namespace)) for namespace in modules + classes}
     installed = tracer.Tracer()
@@ -51,8 +42,8 @@ def test_tracer_installs_and_restores_every_binding():
 @pytest.mark.parametrize("name", list(WORKLOADS["workloads"]))
 def test_every_listed_layer_records_calls_in_one_traced_cycle(name):
     # the rule perfbench/worker.py's trace() enforces on a traced run
-    tracer = _load("tracer")
-    workload = _load("workloads").WORKLOADS[name](1)
+    tracer = load_module("perfbench/tracer.py")
+    workload = load_module("perfbench/workloads.py").WORKLOADS[name](1)
     installed = tracer.Tracer()
     try:
         installed.install()

@@ -7,15 +7,16 @@ Usage (from anywhere):
 MUTANTS is a fixed list of edits (file, old text, new text, reason), each
 aimed at a kernel or a check, and every run applies all of them. The
 checkout (every file git lists, tracked or untracked but not ignored) is
-copied to a temporary directory outside the repository and
-``python -m pytest -x -q`` runs there unmutated first: if that copy does not
-pass, no mutant can be judged, and the tool stops. Then each edit gets its
-own copy with the old text replaced, at most two copies at a time, and one
-line, in list order:
+copied to a temporary directory outside the repository and the whole
+suite (``pytest -q``, with hypothesis's shrink phase off) runs there
+unmutated first: if that copy does not pass, no mutant can be judged, and
+the tool stops. Then each edit gets its own copy with the old text
+replaced, at most two copies at a time, and one line, in list order:
 
 - killed: a test failed or a test module failed to import (pytest exit 1,
-  or exit 2 with a collection error), and the first failing test or module
-  is named;
+  or exit 2 with a collection error), and every failing test or module is
+  named, in the order pytest reports them, so an edit that only an exact
+  count pins shows as a kill by that test alone;
 - survived: every test passed, so no test notices the edit;
 - stale: the old text is not in the file exactly once, so the entry no
   longer fits the code and should be rewritten or dropped;
@@ -48,7 +49,17 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKERS = 2  # suite copies run at once
 UNMUTATED_TIMEOUT = 600  # seconds for the unmutated copy's suite
 TIMEOUT_FACTOR, TIMEOUT_FLOOR = 5, 60  # a mutant copy's timeout, from the unmutated run
-_FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.M)
+_FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.M)  # a test id may hold spaces
+# Shrinking a failing hypothesis example can take minutes and names no other
+# failing test, so each copy loads a profile without that phase first.
+_PYTEST = """\
+import sys
+import pytest
+from hypothesis import Phase, settings
+settings.register_profile("no-shrink", phases=[p for p in Phase if p is not Phase.shrink])
+settings.load_profile("no-shrink")
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider"]))
+"""
 
 _POLY, _QUOT, _DERIV = "src/hyperconn/polycore.py", "src/hyperconn/quotient.py", "src/hyperconn/deriv.py"
 _CONN, _CLI = "src/hyperconn/conn.py", "src/hyperconn/cli.py"
@@ -167,7 +178,7 @@ def _suite(
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
         # its own session, so a timeout stops the suite's child processes too
         proc = subprocess.Popen(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            [sys.executable, "-c", _PYTEST],
             cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             start_new_session=True,
         )
@@ -197,8 +208,8 @@ def _run(number: int, files: list[str], timeout: float) -> tuple[str, str, float
     if code == 0:
         return "survived", "", seconds
     if code == 1 or (code == 2 and "ERROR collecting " in out):
-        found = _FAILED.search(out)
-        return "killed", found.group(1) if found else _last_line(out), seconds
+        found = dict.fromkeys(_FAILED.findall(out))  # a test may fail and error at teardown
+        return "killed", ", ".join(found) if found else _last_line(out), seconds
     return "error", f"pytest exit {code}: {_last_line(out)}", seconds
 
 
