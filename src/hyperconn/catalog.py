@@ -24,7 +24,6 @@ over the verify's own ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from types import MappingProxyType
@@ -32,8 +31,8 @@ from types import MappingProxyType
 from .polycore import GaussianRational, Polynomial
 from .quotient import QuotientRing, RingElement
 from .matring import MatrixA
-from .deriv import Derivation, koszul_derivations
-from .conn import ProjectivePresentation, make_presentation
+from .deriv import koszul_derivations
+from .conn import Record, make_presentation
 
 _NAMES = ("x", "y", "z")
 
@@ -64,21 +63,14 @@ def _check_parameters(example: str, p: int, q: int, r: int):
             raise ValueError(f"parameters must be integers >= {minimum}, got {(p, q, r)}")
 
 
-@dataclass(frozen=True)
-class EllipsoidCotangent:
-    """The rank-3 presentation on x^p + y^q + z^r - 1 with its derivations."""
+class EllipsoidCotangent(Record):
+    """The rank-3 presentation on x^p + y^q + z^r - 1 with its three Koszul
+    derivations and dFvec, the kernel generator grad(f)."""
 
-    p: int
-    q: int
-    r: int
-    ring: QuotientRing
-    presentation: ProjectivePresentation
-    derivations: tuple[Derivation, Derivation, Derivation]
-    dFvec: tuple[RingElement, RingElement, RingElement]
+    __slots__ = ("p", "q", "r", "ring", "presentation", "derivations", "dFvec")
 
 
-@dataclass(frozen=True)
-class SphereLineBundle:
+class SphereLineBundle(Record):
     """The rank-2 line-bundle presentation on x^(2p) + y^(2q) + z^(2r) - 1.
 
     The involution P squares to the identity, M = (P + I)/2 is idempotent,
@@ -87,15 +79,8 @@ class SphereLineBundle:
     square_defect is the P^2 - I that the builder checked, kept for reports.
     """
 
-    p: int
-    q: int
-    r: int
-    ring: QuotientRing
-    involution: MatrixA
-    idempotent: MatrixA
-    presentation: ProjectivePresentation
-    derivations: tuple[Derivation, Derivation, Derivation]
-    square_defect: MatrixA
+    __slots__ = ("p", "q", "r", "ring", "involution", "idempotent", "presentation",
+                 "derivations", "square_defect")
 
 
 @lru_cache(maxsize=1)

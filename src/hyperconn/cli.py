@@ -32,12 +32,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from itertools import product
 from math import comb
 
 from . import catalog, conn
-from .conn import connection_apply, connection_matrix, curvature_report, deviation_report
+from .conn import Record, connection_apply, connection_matrix, curvature_report, deviation_report
 from .deriv import bracket
 from .polycore import MAX_EXPONENT, ParseError, _coefficient_bits, _lowest_terms, parse
 from .quotient import QuotientRing
@@ -71,12 +70,8 @@ class UsageError(ValueError):
     """Bad command-line input that should exit with status 2."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # "pass" | "fail" | "discrepancy"
-    witness: str
-    seconds: float
+class CheckResult(Record):
+    __slots__ = ("name", "status", "witness", "seconds")  # status: pass, fail or discrepancy
 
     def to_json(self, include_timings: bool = False) -> dict:
         data = {"name": self.name, "status": self.status, "witness": self.witness}
@@ -85,17 +80,11 @@ class CheckResult:
         return data
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """One example at one parameter triple: check rows plus curvature data."""
 
-    example: str
-    p: int
-    q: int
-    r: int
-    checks: tuple[CheckResult, ...]
-    curvature: tuple[dict, ...]
-    notes: tuple[str, ...]
+    # checks: CheckResult rows; curvature: a report's to_json per pair; notes: strings
+    __slots__ = ("example", "p", "q", "r", "checks", "curvature", "notes")
 
     def counts(self) -> dict:
         tally = {"pass": 0, "fail": 0, "discrepancy": 0}
@@ -309,16 +298,16 @@ _SPHERE_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class _Family:
-    """One example: its builder, check table and report notes."""
+class _Family(Record):
+    """One example: its builder, check table and report notes.
 
-    build: str  # the catalog builder's name, looked up when called, so a patched binding is used
-    label: str  # derivation prefix in the curvature block
-    rows: tuple  # (name, check) in report order; check(ctx) -> (status, witness)
-    notes: tuple
-    golden_only: frozenset = frozenset()  # row names run only at _GOLDEN_TRIPLE
-    golden_notes: tuple = ()
+    build is the catalog builder's name, looked up when called, so a patched
+    binding is used; label the derivation prefix in the curvature block; rows
+    the (name, check) pairs in report order, check(ctx) -> (status, witness);
+    golden_only the row names run only at _GOLDEN_TRIPLE, and golden_notes
+    the notes added there."""
+
+    __slots__ = ("build", "label", "rows", "notes", "golden_only", "golden_notes")
 
 
 _FAMILIES = {
@@ -327,6 +316,8 @@ _FAMILIES = {
         "d",
         _ELLIPSOID_ROWS,
         ("point checks evaluate at the on-surface point (1, 0, 0)",),
+        frozenset(),
+        (),
     ),
     "sphere": _Family(
         "build_sphere_line_bundle",

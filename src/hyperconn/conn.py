@@ -15,12 +15,10 @@ Each delta(Phi) is formed once per presentation: connection_matrix keeps it
 in a memo on the presentation, keyed by the derivation. The memo cannot go
 stale. The presentation is frozen, a Derivation is immutable and hashed and
 compared by its ring and generator images, so equal derivations share one
-entry, and dataclasses.replace starts a new presentation with an empty memo.
+entry, and a copy made by the presentation's replace starts with an empty memo.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .matring import MatrixA, commutator, trace_product
 from .deriv import Derivation, bracket
@@ -31,20 +29,73 @@ class PresentationError(ValueError):
     """The proposed data does not present a projective module."""
 
 
-@dataclass(frozen=True)
-class ProjectivePresentation:
+class Record:
+    """A frozen record, as a frozen dataclass is, without importing dataclasses
+    (which loads inspect, ast, dis and tokenize into every CLI process).
+
+    Its fields are its class's __slots__, which __init__ takes in order, by
+    position or by name; assigning or deleting one raises AttributeError. The
+    first _compared fields (all when None) make ==, hash and the repr
+    Name(field=value, ...); any later ones ride along. replace, copy and pickle
+    rebuild a record through __init__ from its fields, except those named with
+    a leading "_", which the subclass's __init__ makes anew."""
+
+    __slots__ = ()
+    _compared = None
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        if named:
+            values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__[: self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__[: self._compared])
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
+
+    def replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(**{**self._fields(), **changes})
+
+    def __reduce__(self):
+        return type(self), tuple(self._fields().values())
+
+
+class ProjectivePresentation(Record):
     """An idempotent presentation: the module is the image of Phi."""
 
-    ring: QuotientRing
-    n: int
-    phi: MatrixA
-    psi: MatrixA  # I - Phi, the complement
-    kernel_generator: tuple | None
-    # left out of ==, hash and repr: the Phi^2 - Phi and Phi*k (None without k)
-    # make_presentation checked, and connection_matrix's memo delta -> delta(Phi)
-    defect: MatrixA = field(compare=False, repr=False)
-    kernel_image: tuple | None = field(compare=False, repr=False)
-    _connection_matrices: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    # psi is I - Phi, the complement. Left out of ==, hash and repr: the
+    # Phi^2 - Phi and Phi*k (None without k) make_presentation checked, and
+    # connection_matrix's memo delta -> delta(Phi), which starts empty
+    __slots__ = ("ring", "n", "phi", "psi", "kernel_generator",
+                 "defect", "kernel_image", "_connection_matrices")
+    _compared = 5
+
+    def __init__(self, ring, n, phi, psi, kernel_generator, defect, kernel_image):
+        super().__init__(ring, n, phi, psi, kernel_generator, defect, kernel_image, {})
 
     def __repr__(self) -> str:
         return f"ProjectivePresentation(n={self.n} over {self.ring!r})"
@@ -154,17 +205,12 @@ def trace_over_kernel(p: ProjectivePresentation, c: MatrixA) -> RingElement:
     return trace_product(p.psi, c)
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(Record):
     """Curvature data for one derivation pair; induced forms Phi*C on each read,
     from the Phi kept beside C and left out of ==, hash and repr."""
 
-    pair: tuple[str, str]
-    commutator: MatrixA
-    trace_image: RingElement
-    trace_kernel: RingElement
-    flat: bool
-    phi: MatrixA = field(compare=False, repr=False)
+    __slots__ = ("pair", "commutator", "trace_image", "trace_kernel", "flat", "phi")
+    _compared = 5
 
     @property
     def induced(self) -> MatrixA:
@@ -274,13 +320,10 @@ def modified_curvature(
     return direct
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(Record):
     """Ambient rank, module rank at a point, and their difference."""
 
-    ambient: int
-    rank: int
-    deviation: int
+    __slots__ = ("ambient", "rank", "deviation")
 
 
 def deviation_report(p: ProjectivePresentation, point) -> DeviationReport:
@@ -291,4 +334,4 @@ def deviation_report(p: ProjectivePresentation, point) -> DeviationReport:
     presentations.
     """
     rank = p.phi.rank_at_point(point)
-    return DeviationReport(ambient=p.n, rank=rank, deviation=p.n - rank)
+    return DeviationReport(p.n, rank, p.n - rank)

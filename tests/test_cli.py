@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
-import dataclasses
 import io
 import json
 import re
@@ -466,8 +465,8 @@ def test_ellipsoid_construction_rows_report_the_stored_results(monkeypatch, caps
     # stored; a builder that stored nonzero results makes them fail
     ex = catalog.build_ellipsoid_cotangent(2, 3, 4)
     defect = MatrixA.identity(ex.ring, 3)
-    pres = dataclasses.replace(ex.presentation, defect=defect, kernel_image=ex.dFvec)
-    wrong = dataclasses.replace(ex, presentation=pres)
+    pres = ex.presentation.replace(defect=defect, kernel_image=ex.dFvec)
+    wrong = ex.replace(presentation=pres)
     monkeypatch.setattr(catalog, "build_ellipsoid_cotangent", lambda p, q, r: wrong)
     rows = _rows(run_verification("ellipsoid", 2, 3, 4))
     assert rows["idempotent"] == ("fail", str(defect))
@@ -478,7 +477,7 @@ def test_ellipsoid_construction_rows_report_the_stored_results(monkeypatch, caps
     # the tangency rows print delta(f); the ellipsoid's other rows need tangent
     # derivations, so its tangency row runs alone on an unchecked d/dx
     ctx = cli._Context("ellipsoid", 2, 3, 4)
-    ctx.ex = dataclasses.replace(ex, derivations=(Derivation(ex.ring, (1, 0, 0), _checked=True),))
+    ctx.ex = ex.replace(derivations=(Derivation(ex.ring, (1, 0, 0), _checked=True),))
     assert dict(cli._ELLIPSOID_ROWS)["tangency-d1"](ctx) == ("fail", "2*x")
 
 
@@ -486,13 +485,11 @@ def test_sphere_construction_rows_report_the_stored_results(monkeypatch, capsys)
     ex = catalog.build_sphere_line_bundle(2, 1, 1)
     ring = ex.ring
     identity = MatrixA.identity(ring, 2)
-    pres = dataclasses.replace(ex.presentation, defect=-identity)
+    pres = ex.presentation.replace(defect=-identity)
     # d/dx, d/dy, d/dz, built unchecked: f = x^4 + y^2 + z^2 - 1 is not sent to 0
     unchecked = tuple(Derivation(ring, images, _checked=True)
                       for images in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    wrong = dataclasses.replace(
-        ex, presentation=pres, derivations=unchecked, square_defect=identity
-    )
+    wrong = ex.replace(presentation=pres, derivations=unchecked, square_defect=identity)
     monkeypatch.setattr(catalog, "build_sphere_line_bundle", lambda p, q, r: wrong)
     rows = _rows(run_verification("sphere", 2, 1, 1))
     assert rows["involution"] == ("fail", str(identity))
@@ -558,7 +555,7 @@ def test_rank_and_flatness_rows_fail(monkeypatch, capsys):
 
     def flat_report(pres, delta, eta, *labels):
         report = conn.curvature_report(pres, delta, eta, *labels)
-        return dataclasses.replace(report, flat=True)
+        return report.replace(flat=True)
 
     monkeypatch.setattr(cli, "curvature_report", flat_report)
     rows = _rows(run_verification("ellipsoid", 2, 3, 4))
@@ -583,7 +580,7 @@ def test_sphere_trace_row_fails_a_zero_trace(monkeypatch):
     # fails even against a zero reference
     ctx = cli._Context("sphere", 1, 1, 1)
     zero = ctx.ex.ring.zero()
-    ctx.curvature[0, 1] = dataclasses.replace(ctx.curvature[0, 1], trace_kernel=zero)
+    ctx.curvature[0, 1] = ctx.curvature[0, 1].replace(trace_kernel=zero)
     monkeypatch.setattr(catalog, "reference_expected", lambda *args: zero)
     assert dict(cli._SPHERE_ROWS)["trace-image-12"](ctx) == ("fail", "computed 0, expected 0")
 
@@ -685,14 +682,17 @@ def test_sweep_parallel_clamped_to_triples_and_cpus(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_cli_import_leaves_process_pool_out():
-    # only sweep --parallel needs the pool machinery; every other start skips it
-    code = "import sys, hyperconn.cli; print('concurrent.futures.process' in sys.modules)"
+def test_cli_import_loads_neither_dataclasses_nor_the_process_pool():
+    # dataclasses and the inspect, ast and dis it imports would cost every
+    # start milliseconds, and only sweep --parallel needs the pool machinery.
+    # -S leaves out the site hooks of the environment, which are not hyperconn's.
+    unwanted = ("dataclasses", "inspect", "concurrent.futures.process")
+    code = f"import sys, hyperconn.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=child_env()
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert result.stdout == "[]\n"
 
 
 def test_verification_report_failure_flag():

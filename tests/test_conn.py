@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import copy
+import pickle
 from itertools import combinations, product
 from random import Random
 
@@ -319,7 +320,7 @@ def test_presentation_equality_ignores_the_memo():
     connection_matrix(pres, ex.derivations[0])
     assert pres == fresh and hash(pres) == hash(fresh)
     assert repr(pres) == repr(fresh)
-    copy = replace(pres)
+    copy = pres.replace()
     assert copy == pres and copy._connection_matrices == {}
     # the checked Phi^2 - Phi and Phi*k travel with a copy
     assert copy.defect is pres.defect and copy.kernel_image is pres.kernel_image
@@ -336,8 +337,88 @@ def test_presentation_keeps_its_checked_identities():
     assert len(pres.kernel_image) == 3 and all(v.is_zero for v in pres.kernel_image)
     assert _diag_presentation().kernel_image is None
     # the stored results are left out of ==, hash and repr
-    wrong = replace(pres, defect=MatrixA.identity(ex.ring, 3), kernel_image=ex.dFvec)
+    wrong = pres.replace(defect=MatrixA.identity(ex.ring, 3), kernel_image=ex.dFvec)
     assert wrong == pres and hash(wrong) == hash(pres) and repr(wrong) == repr(pres)
+
+
+def _curvature_report_12():
+    ex = build_ellipsoid_cotangent(2, 3, 4)
+    return curvature_report(ex.presentation, *ex.derivations[:2], "d1", "d2")
+
+
+# Each record's builder, its repr as the frozen dataclasses printed it before
+# Record (taken from that code), and a field change that makes it unequal.
+_ELLIPSOID_RING = "QuotientRing(z^4+y^3+x^2-1)"
+_SPHERE_RING = "QuotientRing(x^2+y^2+z^2-1)"
+RECORDS = {
+    "ProjectivePresentation": (
+        lambda: build_ellipsoid_cotangent(2, 3, 4).presentation,
+        f"ProjectivePresentation(n=3 over {_ELLIPSOID_RING})",
+        {"n": 4},
+    ),
+    "CurvatureReport": (
+        _curvature_report_12,
+        f"CurvatureReport(pair=('d1', 'd2'), commutator=MatrixA(3x3 over {_ELLIPSOID_RING}), "
+        f"trace_image=RingElement(0 mod z^4+y^3+x^2-1), "
+        f"trace_kernel=RingElement(0 mod z^4+y^3+x^2-1), flat=False)",
+        {"flat": True},
+    ),
+    "DeviationReport": (
+        lambda: deviation_report(build_ellipsoid_cotangent(2, 3, 4).presentation, (1, 0, 0)),
+        "DeviationReport(ambient=3, rank=2, deviation=1)",
+        {"rank": 3},
+    ),
+    "EllipsoidCotangent": (
+        lambda: build_ellipsoid_cotangent(2, 3, 4),
+        f"EllipsoidCotangent(p=2, q=3, r=4, ring={_ELLIPSOID_RING}, "
+        f"presentation=ProjectivePresentation(n=3 over {_ELLIPSOID_RING}), "
+        "derivations=(Derivation(3*y^2*d/dx + (-2*x)*d/dy), Derivation(4*z^3*d/dx + (-2*x)*d/dz), "
+        "Derivation(4*z^3*d/dy + (-3*y^2)*d/dz)), dFvec=(RingElement(2*x mod z^4+y^3+x^2-1), "
+        "RingElement(3*y^2 mod z^4+y^3+x^2-1), RingElement(4*z^3 mod z^4+y^3+x^2-1)))",
+        {"p": 3},
+    ),
+    "SphereLineBundle": (
+        lambda: build_sphere_line_bundle(1, 1, 1),
+        f"SphereLineBundle(p=1, q=1, r=1, ring={_SPHERE_RING}, "
+        f"involution=MatrixA(2x2 over {_SPHERE_RING}), idempotent=MatrixA(2x2 over {_SPHERE_RING}), "
+        f"presentation=ProjectivePresentation(n=2 over {_SPHERE_RING}), "
+        "derivations=(Derivation(y*d/dx + (-x)*d/dy), Derivation(z*d/dx + (-x)*d/dz), "
+        f"Derivation((-z)*d/dy + y*d/dz)), square_defect=MatrixA(2x2 over {_SPHERE_RING}))",
+        {"q": 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_keep_the_frozen_dataclass_contract(name):
+    build, text, change = RECORDS[name]
+    record, twin = build(), build()
+    assert type(record).__name__ == name and repr(record) == text
+    # equal fields, built apart, give == and one hash; a changed field, neither
+    assert record is not twin and record == twin and hash(record) == hash(twin)
+    assert record.replace(**change) != record
+    assert record != tuple(getattr(record, field) for field in record.__slots__)
+    field = next(iter(change))
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.unknown = 1
+    assert copy.copy(record) == record and pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(TypeError):
+        type(record)(*(getattr(record, f) for f in record.__slots__ if f[0] != "_"), 1)
+    with pytest.raises(TypeError):
+        record.replace(unknown=1)
+
+
+def test_a_pickled_presentation_starts_with_an_empty_memo():
+    ex = build_ellipsoid_cotangent(2, 3, 4)
+    connection_matrix(ex.presentation, ex.derivations[0])
+    loaded = pickle.loads(pickle.dumps(ex.presentation))
+    assert loaded == ex.presentation and loaded._connection_matrices == {}
+    assert loaded.defect == ex.presentation.defect
+    assert loaded.kernel_image == ex.presentation.kernel_image
 
 
 def test_presentation_errors_name_their_witness():

@@ -130,6 +130,20 @@ MUTANTS = (
     (_CONN, "image = c.mul_vector(p.kernel_generator)",
      "image = c.mul_vector(p.kernel_generator)[:0]",
      "curvature_matrix skips its C*k check"),
+    # the frozen records
+    (_CONN, '"_connection_matrices")\n    _compared = 5', '"_connection_matrices")\n    _compared = 6',
+     "a presentation's stored Phi^2 - Phi takes part in == and hash"),
+    (_CONN, '"_connection_matrices")\n    _compared = 5', '"_connection_matrices")\n    _compared = None',
+     "a presentation's memo takes part in == and hash"),
+    (_CONN, "        return type(self)(**{**self._fields(), **changes})",
+     "        copy = type(self)(**{**self._fields(), **changes})\n"
+     "        for name in self.__slots__[len(self._fields()):]:\n"
+     "            object.__setattr__(copy, name, getattr(self, name))\n"
+     "        return copy",
+     "a copy shares the presentation's memo dict"),
+    (_CONN, '    def __setattr__(self, name, value):\n        raise AttributeError(f"cannot assign',
+     '    def _unguarded(self, name, value):\n        raise AttributeError(f"cannot assign',
+     "a record's fields can be assigned"),
     # the row statuses
     (_CLI, "    if value.is_zero:\n        return \"pass\", pass_witness",
      "    if value.is_zero or True:\n        return \"pass\", pass_witness",
