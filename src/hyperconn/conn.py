@@ -46,11 +46,12 @@ class Record:
     def __init__(self, *values, **named):
         fields = self.__slots__
         if named:
-            values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
+            values += tuple([named.pop(name) for name in fields[len(values):] if name in named])
         if named or len(values) != len(fields):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
-        for name, value in zip(fields, values):
-            object.__setattr__(self, name, value)
+        set_field = object.__setattr__
+        for i, name in enumerate(fields):
+            set_field(self, name, values[i])
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__[: self._compared])
@@ -276,11 +277,13 @@ def modified_curvature(
 ) -> MatrixA:
     """Curvature of the shifted connection A_delta + phi_delta, two ways.
 
-    Route one applies the shifted operators directly to the standard basis:
-    column j of [A'_delta, A'_eta] - A'_[delta,eta]. Route two assembles
-    the same operator from parts: the unshifted curvature, the potential
-    term [phi_delta, phi_eta] - phi_bracket, and the two operator
-    commutators [A_delta, phi_eta] - [A_eta, phi_delta]. The two routes are
+    Route one forms column j of [A'_delta, A'_eta] - A'_[delta,eta] from the
+    basis vector e_j. A derivation kills the constant e_j, so A'_d(e_j) is
+    read off as column j of d(Phi) + phi_d; the nested operators are still
+    applied to those columns. Route two assembles the same operator from
+    parts: the unshifted curvature, the potential term
+    [phi_delta, phi_eta] - phi_bracket, and the two operator commutators
+    [A_delta, phi_eta] - [A_eta, phi_delta]. The two routes are
     verified to agree on the induced endomorphisms Phi*(.)*Phi, and the
     directly computed matrix is returned.
     """
@@ -293,16 +296,15 @@ def modified_curvature(
     if bracket(delta, eta) != bracket_delta_eta:
         raise ValueError("bracket mismatch: the supplied derivation is not [delta, eta]")
 
-    # the shifted operators A_d + phi_d = D_d + (d(Phi) + phi_d)
-    sop_delta, sop_eta, sop_bracket = (
-        _operator(d, connection_matrix(p, d) + x)
+    # the shifted operators A'_d = D_d + M_d, M_d = d(Phi) + phi_d; D_d(e_j) = 0
+    m_delta, m_eta, m_bracket = (
+        connection_matrix(p, d) + x
         for d, x in ((delta, phi_delta), (eta, phi_eta), (bracket_delta_eta, phi_bracket))
     )
-    basis = MatrixA.identity(p.ring, p.n)
+    sop_delta, sop_eta = _operator(delta, m_delta), _operator(eta, m_eta)
     columns = []
     for j in range(p.n):
-        e = basis.column(j)
-        triples = zip(sop_delta(sop_eta(e)), sop_eta(sop_delta(e)), sop_bracket(e))
+        triples = zip(sop_delta(m_eta.column(j)), sop_eta(m_delta.column(j)), m_bracket.column(j))
         columns.append([a - b - c for a, b, c in triples])
     direct = MatrixA.from_rows(p.ring, zip(*columns))
 

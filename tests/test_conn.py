@@ -30,7 +30,14 @@ from hyperconn import (
     trace_over_image,
     trace_over_kernel,
 )
-from helpers import random_element, random_matrix, random_tangent, rotations, unit_sphere
+from helpers import (
+    random_element,
+    random_matrix,
+    random_tangent,
+    record_calls,
+    rotations,
+    unit_sphere,
+)
 
 
 def column_operator_commutator(p, delta, potential):
@@ -43,6 +50,25 @@ def column_operator_commutator(p, delta, potential):
         left = connection_apply(p, delta, potential.column(j))
         right = potential.mul_vector(connection_apply(p, delta, basis))
         columns.append([a - b for a, b in zip(left, right)])
+    return MatrixA.from_rows(p.ring, zip(*columns))
+
+
+def basis_route_one(p, delta, eta, lie, phi_delta, phi_eta, phi_bracket):
+    """Reference for modified_curvature's direct matrix, one basis vector at a
+    time: column j is [A'_delta, A'_eta](e_j) - A'_lie(e_j), each shifted
+    operator A'_d(v) = A_d(v) + phi_d*v applied to the vector itself."""
+    zero, one = p.ring.zero(), p.ring.one()
+
+    def shifted(d, potential, vec):
+        return tuple(a + b for a, b in zip(connection_apply(p, d, vec), potential.mul_vector(vec)))
+
+    columns = []
+    for j in range(p.n):
+        basis = tuple(one if i == j else zero for i in range(p.n))
+        first = shifted(delta, phi_delta, shifted(eta, phi_eta, basis))
+        second = shifted(eta, phi_eta, shifted(delta, phi_delta, basis))
+        third = shifted(lie, phi_bracket, basis)
+        columns.append([a - b - c for a, b, c in zip(first, second, third)])
     return MatrixA.from_rows(p.ring, zip(*columns))
 
 
@@ -296,6 +322,50 @@ def test_modified_curvature_zero_potential_matches_plain():
     assert phi * modified * phi == phi * plain * phi
     # with zero potential the two operators agree on the whole of A^n
     assert modified == plain
+
+
+@pytest.mark.parametrize(
+    "build, params",
+    [
+        (build_ellipsoid_cotangent, (2, 2, 2)),
+        (build_ellipsoid_cotangent, (2, 3, 4)),
+        (build_sphere_line_bundle, (1, 1, 1)),
+        (build_sphere_line_bundle, (1, 1, 2)),
+    ],
+    ids=["ellipsoid-222", "ellipsoid-234", "sphere-111", "sphere-112"],
+)
+def test_modified_curvature_matches_the_basis_vector_reference(build, params):
+    # the whole direct matrix, not only Phi*direct*Phi, which the gap check compares
+    ex = build(*params)
+    pres = ex.presentation
+    phi = pres.phi
+    rng = Random(290029)
+    for delta, eta in combinations(ex.derivations, 2):
+        lie = bracket(delta, eta)
+        potentials = [phi * random_matrix(rng, ex.ring, pres.n) * phi for _ in range(3)]
+        direct = modified_curvature(pres, delta, eta, lie, *potentials)
+        reference = basis_route_one(pres, delta, eta, lie, *potentials)
+        assert direct == reference  # == on every entry, shape and ring
+
+
+@pytest.mark.parametrize(
+    "build, params, applied, multiplied",
+    [(build_ellipsoid_cotangent, (2, 2, 2), 6, 7), (build_sphere_line_bundle, (1, 1, 1), 4, 4)],
+    ids=["ellipsoid-222", "sphere-111"],
+)
+def test_modified_curvature_applies_only_the_nested_operators(
+    monkeypatch, build, params, applied, multiplied
+):
+    # route one reads A'_d(e_j) as column j of d(Phi) + phi_d: two derivation
+    # applications and two products per column, plus curvature_matrix's C*k
+    ex = build(*params)
+    pres = ex.presentation
+    d1, d2, _ = ex.derivations
+    potentials = [pres.phi * random_matrix(Random(290030), ex.ring, pres.n) * pres.phi] * 3
+    applications = record_calls(monkeypatch, Derivation, "apply_to_vector")
+    products = record_calls(monkeypatch, MatrixA, "mul_vector")
+    modified_curvature(pres, d1, d2, bracket(d1, d2), *potentials)
+    assert (len(applications), len(products)) == (applied, multiplied)
 
 
 def test_connection_matrices_are_memoised_by_value():

@@ -130,6 +130,12 @@ MUTANTS = (
     (_CONN, "image = c.mul_vector(p.kernel_generator)",
      "image = c.mul_vector(p.kernel_generator)[:0]",
      "curvature_matrix skips its C*k check"),
+    # modified_curvature's route one, which reads A'_d(e_j) as a column of d(Phi) + phi_d
+    (_CONN, "sop_delta(m_eta.column(j)), sop_eta(m_delta.column(j))",
+     "sop_delta(m_delta.column(j)), sop_eta(m_eta.column(j))",
+     "route one applies each shifted operator to its own column"),
+    (_CONN, "m_bracket.column(j))", "m_delta.column(j))",
+     "route one reads the bracket column from M_delta"),
     # the frozen records
     (_CONN, '"_connection_matrices")\n    _compared = 5', '"_connection_matrices")\n    _compared = 6',
      "a presentation's stored Phi^2 - Phi takes part in == and hash"),
