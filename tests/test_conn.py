@@ -357,7 +357,7 @@ def test_modified_curvature_applies_only_the_nested_operators(
     monkeypatch, build, params, applied, multiplied
 ):
     # route one reads A'_d(e_j) as column j of d(Phi) + phi_d: two derivation
-    # applications and two products per column, plus curvature_matrix's C*k
+    # applications and two products per column, plus the ellipsoid's C*k check
     ex = build(*params)
     pres = ex.presentation
     d1, d2, _ = ex.derivations
