@@ -18,8 +18,7 @@ computation, confirmed independently with a second computer algebra
 system. The "trace-*-image" ids are likewise second-system-confirmed
 values, stored as data with the printed counterparts kept alongside. The
 sphere's displays and traces cover (1, 1, 1) only; they are one table,
-built the first time a process reads it, and a value read from it is put
-over the verify's own ring.
+built the first time a process reads it, over the ring of that moment.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from functools import cache, lru_cache
 from types import MappingProxyType
 
 from .polycore import GaussianRational, Polynomial
-from .quotient import QuotientRing, RingElement
+from .quotient import QuotientRing
 from .matring import MatrixA
 from .deriv import koszul_derivations
 from .conn import Record, make_presentation
@@ -86,7 +85,7 @@ class SphereLineBundle(Record):
 @lru_cache(maxsize=1)
 def _fermat_ring(a: int, b: int, c: int) -> QuotientRing:
     """The quotient ring of x^a + y^b + z^c - 1. The last one made is kept, so
-    a verify's build, goldens and sphere displays share one ring object."""
+    a verify's build and the ellipsoid goldens it reads share one ring object."""
     return QuotientRing(_poly((1, a, 0, 0), (1, 0, b, 0), (1, 0, 0, c), (-1, 0, 0, 0)))
 
 
@@ -366,28 +365,18 @@ def _sphere_expected(check_id: str, p: int, q: int, r: int):
         raise KeyError(f"unknown check id {check_id!r} for example 'sphere'")
     if (p, q, r) != (1, 1, 1):
         raise ValueError(f"no display is given for parameters {(p, q, r)}; only (1, 1, 1)")
-    return _over(displays[check_id], _fermat_ring(2, 2, 2))
-
-
-def _over(value, ring: QuotientRing):
-    """A display over ring, the ring object of the verify reading it. The
-    table keeps the ring of its build; a later equal ring takes the same
-    normal forms, so nothing is reduced again."""
-    if value.ring is ring:
-        return value
-    if isinstance(value, MatrixA):
-        return MatrixA(ring, value.rows, value.cols,
-                       [RingElement(ring, e.rep) for e in value.entries])
-    return RingElement(ring, value.rep)
+    return displays[check_id]
 
 
 def reference_expected(example_id: str, check_id: str, p: int, q: int, r: int):
     """Transcribed expected value for a named check of an example family.
 
-    Returns a matrix, vector, or ring element over the example's own ring,
-    the object its build made while that modulus is the last one built, so
-    results compare directly. Raises KeyError for an unknown id and ValueError when
-    a display id is requested at parameters the displays do not cover.
+    Returns a matrix, vector, or ring element over the example's ring: the
+    object its build made while that modulus is the last one built, or, for a
+    sphere display, the ring its table was built over, which equals it. Rings
+    compare by modulus, so results compare directly. Raises KeyError for an
+    unknown id and ValueError when a display id is requested at parameters the
+    displays do not cover.
     """
     if example_id == "ellipsoid":
         _check_parameters("ellipsoid", p, q, r)

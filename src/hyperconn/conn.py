@@ -115,8 +115,6 @@ def make_presentation(
     annihilate; it witnesses membership in the kernel summand. The checked
     Phi^2 - Phi and Phi*k are kept on the result as defect and kernel_image.
     """
-    if phi.ring != ring:
-        raise ValueError("idempotent belongs to a different ring")
     if not phi.is_square:
         raise PresentationError("the idempotent must be square")
     defect = phi * phi - phi
@@ -168,8 +166,6 @@ def connection_apply(p: ProjectivePresentation, delta: Derivation, vector):
     """Apply the connection operator A_delta: v -> D_delta(v) + delta(Phi)*v
     to a coordinate vector."""
     vec = tuple(p.ring.element(v) for v in vector)
-    if len(vec) != p.n:
-        raise ValueError(f"vector length {len(vec)} does not match rank {p.n}")
     return _operator(delta, connection_matrix(p, delta))(vec)
 
 
@@ -187,13 +183,6 @@ def curvature_matrix(p: ProjectivePresentation, delta: Derivation, eta: Derivati
                 f"curvature does not annihilate the kernel generator: C*k = {_vector_text(image)}"
             )
     return c
-
-
-def _require_endomorphism(p: ProjectivePresentation, c: MatrixA):
-    if c.ring != p.ring:
-        raise ValueError("matrix belongs to a different ring")
-    if c.rows != p.n or c.cols != p.n:
-        raise ValueError(f"expected a {p.n}x{p.n} matrix, got {c.rows}x{c.cols}")
 
 
 def trace_over_image(p: ProjectivePresentation, c: MatrixA) -> RingElement:
@@ -255,7 +244,6 @@ def operator_commutator_matrix(
     Since delta(X v) = delta(X) v + X delta(v), the operator commutator
     A_delta(X v) - X A_delta(v) is the A-linear map delta(X) + [delta(Phi), X].
     """
-    _require_endomorphism(p, potential)
     dphi = connection_matrix(p, delta)
     return delta.apply_to_matrix(potential) + commutator(dphi, potential)
 
@@ -288,7 +276,6 @@ def modified_curvature(
     directly computed matrix is returned.
     """
     for x in (phi_delta, phi_eta, phi_bracket):
-        _require_endomorphism(p, x)
         if not _preserves_module(p, x):
             raise PresentationError(
                 "potential does not preserve the module: need Phi*X*Phi = X*Phi = Phi*X"

@@ -1,5 +1,5 @@
-"""Shared random generators, a CLI runner, a call recorder and a tool loader
-for the test suite.
+"""Shared random generators, two CLI runners, a call recorder and a tool
+loader for the test suite.
 
 Every test owns its seed; these helpers only consume the Random instance
 they are handed, so failures reproduce exactly.
@@ -7,7 +7,9 @@ they are handed, so failures reproduce exactly.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -19,6 +21,7 @@ from pathlib import Path
 from random import Random
 
 from hyperconn import Derivation, GaussianRational, MatrixA, Polynomial, QuotientRing, parse
+from hyperconn.cli import main
 
 NAMES = ("x", "y", "z")
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,7 +68,11 @@ def child_env() -> dict:
 
 
 def run_cli(*args, timeout=None):
-    """Run `python -m hyperconn` in a child process that imports this checkout."""
+    """Run `python -m hyperconn` in a child process that imports this checkout.
+
+    Use it when the point of the test is a fresh process, or when the run
+    needs a timeout: a hang then fails one test instead of stalling the
+    suite. Everything else uses run_main."""
     return subprocess.run(
         [sys.executable, "-m", "hyperconn", *args],
         capture_output=True,
@@ -73,6 +80,16 @@ def run_cli(*args, timeout=None):
         env=child_env(),
         timeout=timeout,
     )
+
+
+def run_main(*args) -> subprocess.CompletedProcess:
+    """Run hyperconn's main() in this process with its stdout and stderr
+    captured, and return what run_cli returns for the same arguments;
+    test_cli.py's re-entrancy test checks that the two agree."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return subprocess.CompletedProcess(["hyperconn", *args], code, out.getvalue(), err.getvalue())
 
 
 def record_calls(patch, owner, name: str) -> list[tuple]:

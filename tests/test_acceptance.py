@@ -166,10 +166,12 @@ def test_sphere_line_bundle_goldens():
 
 
 def test_operator_property_suites():
-    """Randomized identity suites, 100 exact cases each: commutator traces,
-    image/kernel trace split, scalar and matrix Leibniz rules, bracket
-    antisymmetry and Jacobi, Cayley-Hamilton, and block-triangular
-    characteristic-polynomial multiplicativity."""
+    """Randomized identity suites, 100 to 200 exact cases each: commutator
+    traces, the image/kernel trace split of curvature on two ellipsoids,
+    scalar and matrix Leibniz rules and additivity for single rotation fields
+    and their A-linear combinations, bracket antisymmetry and Jacobi,
+    Cayley-Hamilton, and block-triangular characteristic-polynomial
+    multiplicativity."""
     ring = QuotientRing(parse("x^2+y^2+z^2-1"))
 
     rng = Random(917001)
@@ -179,19 +181,17 @@ def test_operator_property_suites():
         b = random_matrix(rng, ring, n, max_degree=1, max_terms=2)
         assert commutator(a, b).trace().is_zero
 
-    ex = build_ellipsoid_cotangent(2, 2, 2)
     rng = Random(442200)
-    for _ in range(100):
-        delta = random_tangent(rng, ex.ring, ex.derivations, max_degree=1, max_terms=1)
-        eta = random_tangent(rng, ex.ring, ex.derivations, max_degree=1, max_terms=1)
-        c = commutator(
-            delta.apply_to_matrix(ex.presentation.phi),
-            eta.apply_to_matrix(ex.presentation.phi),
-        )
-        split = trace_over_image(ex.presentation, c) + trace_over_kernel(
-            ex.presentation, c
-        )
-        assert split.is_zero
+    for triple in ((2, 2, 2), (3, 2, 4)):
+        ex = build_ellipsoid_cotangent(*triple)
+        for _ in range(100):
+            delta = random_tangent(rng, ex.ring, ex.derivations, max_degree=1, max_terms=1)
+            eta = random_tangent(rng, ex.ring, ex.derivations, max_degree=1, max_terms=1)
+            c = curvature_matrix(ex.presentation, delta, eta)
+            split = trace_over_image(ex.presentation, c) + trace_over_kernel(
+                ex.presentation, c
+            )
+            assert split.is_zero, triple
 
     rotations = (
         ("y", "-x", "0"),
@@ -200,11 +200,12 @@ def test_operator_property_suites():
     )
     fields = [Derivation(ring, images) for images in rotations]
     rng = Random(660033)
-    for _ in range(100):
-        d = rng.choice(fields)
-        a = random_element(rng, ring, max_degree=2, max_terms=2)
-        b = random_element(rng, ring, max_degree=2, max_terms=2)
+    for case in range(160):
+        d = rng.choice(fields) if case % 2 else random_tangent(rng, ring, fields)
+        a = random_element(rng, ring)
+        b = random_element(rng, ring)
         assert d.apply(a * b) == a * d.apply(b) + b * d.apply(a)
+        assert d.apply(a + b) == d.apply(a) + d.apply(b)
 
     rng = Random(778899)
     for _ in range(100):
@@ -222,7 +223,7 @@ def test_operator_property_suites():
     rng = Random(135791)
     for case in range(100):
         n = 2 if case % 2 == 0 else 3
-        m = random_matrix(rng, ring, n, max_degree=1, max_terms=1)
+        m = random_matrix(rng, ring, n, max_degree=1, max_terms=2)
         assert m.char_poly().evaluate_matrix(m).is_zero
 
     rng = Random(246802)
@@ -246,10 +247,13 @@ def test_operator_property_suites():
         assert m.char_poly() == upper.char_poly() * lower.char_poly()
 
     rng = Random(987123)
-    for _ in range(100):
-        d = rng.choice(fields)
-        a = random_matrix(rng, ring, 2, max_degree=1, max_terms=2)
-        b = random_matrix(rng, ring, 2, max_degree=1, max_terms=2)
+    for case in range(120):
+        if case % 2:
+            d = rng.choice(fields)
+        else:
+            d = random_tangent(rng, ring, fields, max_degree=1, max_terms=1)
+        a = random_matrix(rng, ring, 2)
+        b = random_matrix(rng, ring, 2)
         assert d.apply_to_matrix(a * b) == d.apply_to_matrix(a) * b + a * d.apply_to_matrix(b)
 
 

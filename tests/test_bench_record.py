@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from helpers import load_module
+from helpers import ROOT, load_module
 
 bench_record = load_module("tools/bench_record.py")
 
@@ -79,3 +79,9 @@ def test_bench_record_stores_the_counts_of_one_traced_run_per_workload(
     assert entry["counts"] == {"polycore.mul.calls": 259.5, "polycore.mul.term_pairs": 1415.0,
                                "polycore.divide_remainder.term_updates": 1057.25}
     assert [run["seed"] for run in entry["runs"]] == [5, 6]
+    # the stored metrics and the run length are the ones BENCHMARK.json declares
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [metric["name"] for metric in spec["end_to_end"]]
+    assert all(list(run["metrics"]) == names for run in entry["runs"])
+    assert list(entry["summary"]) == names
+    assert bench_record.SECONDS == spec["run_seconds"]

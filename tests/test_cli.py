@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
-import io
 import json
 import re
 import subprocess
@@ -31,47 +29,27 @@ from hyperconn.deriv import Derivation
 from hyperconn.matring import MatrixA
 from hyperconn.polycore import MAX_EXPONENT, MAX_POWER_TERMS, parse
 from hyperconn.quotient import QuotientRing, RingElement
-from helpers import child_env, load_schema, record_calls, run_cli
-
-
-def test_verify_sphere_discrepancies():
-    result = run_cli("verify", "sphere", "--p", "1", "--q", "1", "--r", "1", "--json")
-    assert result.returncode == 0
-    payload = json.loads(result.stdout)
-    assert payload["summary"]["fail"] == 0
-    assert payload["summary"]["discrepancy"] == 2
-    by_name = {check["name"]: check for check in payload["checks"]}
-    assert by_name["d3M-sign"]["status"] == "discrepancy"
-    assert by_name["trace-normalization"]["status"] == "discrepancy"
-    assert "-1" in by_name["d3M-sign"]["witness"]
-    jsonschema.validate(payload, load_schema())
-
-
-def test_verify_text_has_summary_line():
-    result = run_cli("verify", "sphere", "--p", "1", "--q", "1", "--r", "1")
-    assert result.returncode == 0
-    assert result.stdout.endswith("summary: 12 pass, 0 fail, 2 discrepancy\n")
-    assert "witness:" in result.stdout
+from helpers import child_env, load_schema, record_calls, run_cli, run_main
 
 
 def test_verify_usage_errors_exit_2():
-    result = run_cli("verify", "sphere", "--p", "0", "--q", "1", "--r", "1")
+    result = run_main("verify", "sphere", "--p", "0", "--q", "1", "--r", "1")
     assert result.returncode == 2
-    result = run_cli("verify", "torus", "--p", "2", "--q", "2", "--r", "2")
+    result = run_main("verify", "torus", "--p", "2", "--q", "2", "--r", "2")
     assert result.returncode == 2
-    result = run_cli("verify", "ellipsoid", "--p", "2", "--q", "2")
+    result = run_main("verify", "ellipsoid", "--p", "2", "--q", "2")
     assert result.returncode == 2
     # verify and sweep refuse --parallel below 1 through one check
     for command in (("verify", "ellipsoid", "--p", "2", "--q", "2", "--r", "2"),
                     ("sweep", "ellipsoid", "--max", "2")):
-        result = run_cli(*command, "--parallel", "-3")
+        result = run_main(*command, "--parallel", "-3")
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == "error: --parallel must be a positive integer\n"
 
 
 def test_sweep_counts_and_determinism():
-    serial = run_cli("sweep", "sphere", "--max", "2", "--json")
+    serial = run_main("sweep", "sphere", "--max", "2", "--json")
     assert serial.returncode == 0
     payload = json.loads(serial.stdout)
     assert payload["max"] == 2
@@ -81,41 +59,32 @@ def test_sweep_counts_and_determinism():
         for r in payload["reports"]
     ]
     assert triples == sorted(triples)
+    # the golden triple (1, 1, 1) comes first and holds the sweep's two discrepancies
+    assert payload["reports"][0]["summary"] == {"pass": 12, "fail": 0, "discrepancy": 2}
+    assert payload["summary"]["discrepancy"] == 2
     parallel = run_cli("sweep", "sphere", "--max", "2", "--json", "--parallel", "4")
     assert parallel.stdout == serial.stdout
     jsonschema.validate(payload, load_schema())
-
-
-def test_sweep_single_triple():
-    result = run_cli("sweep", "ellipsoid", "--max", "2", "--json")
-    payload = json.loads(result.stdout)
-    assert len(payload["reports"]) == 1
-    assert payload["reports"][0]["parameters"] == {"p": 2, "q": 2, "r": 2}
-
-
-def test_sweep_includes_sphere_golden_triple():
-    result = run_cli("sweep", "sphere", "--max", "1", "--json")
-    payload = json.loads(result.stdout)
-    assert payload["summary"]["discrepancy"] == 2
-    assert payload["reports"][0]["summary"]["pass"] == 12
+    single = json.loads(run_main("sweep", "ellipsoid", "--max", "2", "--json").stdout)
+    assert [r["parameters"] for r in single["reports"]] == [{"p": 2, "q": 2, "r": 2}]
 
 
 def test_eval_examples():
-    assert run_cli("eval", "x^2+y^2+z^2", "mod", "x^2+y^2+z^2-1").stdout == "1\n"
-    assert run_cli("eval", "x*(x^2+y^2+z^2-1)", "mod", "x^2+y^2+z^2-1").stdout == "0\n"
-    assert run_cli("eval", "(y+i*z)*(y-i*z)+x^2", "mod", "x^2+y^2+z^2-1").stdout == "1\n"
+    assert run_main("eval", "x^2+y^2+z^2", "mod", "x^2+y^2+z^2-1").stdout == "1\n"
+    assert run_main("eval", "x*(x^2+y^2+z^2-1)", "mod", "x^2+y^2+z^2-1").stdout == "0\n"
+    assert run_main("eval", "(y+i*z)*(y-i*z)+x^2", "mod", "x^2+y^2+z^2-1").stdout == "1\n"
 
 
 def test_eval_parse_error_exit_2():
-    result = run_cli("eval", "x^", "mod", "x^2-1")
+    result = run_main("eval", "x^", "mod", "x^2-1")
     assert result.returncode == 2
     assert "parse error" in result.stderr
-    result = run_cli("eval", "x", "mod", "7")
+    result = run_main("eval", "x", "mod", "7")
     assert result.returncode == 2
 
 
 def test_eval_non_ascii_digit_exit_2():
-    result = run_cli("eval", "x^\u00b2", "mod", "x^2-1")  # superscript two
+    result = run_main("eval", "x^\u00b2", "mod", "x^2-1")  # superscript two
     assert result.returncode == 2
     assert "parse error" in result.stderr
     assert "Traceback" not in result.stderr
@@ -214,7 +183,7 @@ def test_eval_prints_up_to_the_int_digit_limit(capsys):
 
 
 def test_eval_operands_led_by_minus(capsys):
-    result = run_cli("eval", "-x", "mod", "x^2-1")
+    result = run_main("eval", "-x", "mod", "x^2-1")
     assert (result.returncode, result.stdout, result.stderr) == (0, "-x\n", "")
     assert main(["eval", "x", "mod", "-x^2+1"]) == 0
     assert capsys.readouterr().out == "x\n"
@@ -239,11 +208,9 @@ def test_main_is_reentrant_and_builds_its_parser_once(monkeypatch):
     codes = []
     try:
         for argv in sequence:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                codes.append(main(argv))
-            fresh = run_cli(*argv)
-            assert (codes[-1], out.getvalue(), err.getvalue()) == (
+            here, fresh = run_main(*argv), run_cli(*argv)
+            codes.append(here.returncode)
+            assert (here.returncode, here.stdout, here.stderr) == (
                 fresh.returncode, fresh.stdout, fresh.stderr
             ), argv
     finally:
@@ -253,7 +220,7 @@ def test_main_is_reentrant_and_builds_its_parser_once(monkeypatch):
 
 
 def test_report_list_checks_covers_report_names():
-    result = run_cli("report", "--list-checks", "--json")
+    result = run_main("report", "--list-checks", "--json")
     assert result.returncode == 0
     listing = json.loads(result.stdout)
     assert listing["ellipsoid"] == list(ELLIPSOID_CHECKS)
@@ -373,20 +340,6 @@ def test_verification_builds_one_ring(monkeypatch, example, triple):
     catalog._sphere_displays.cache_clear()
     run_verification(example, *triple)
     assert len(made) == 1
-
-
-def test_sphere_displays_follow_the_verify_ring():
-    # after another modulus, the sphere's ring is a new object, equal to the
-    # old one; the displays the verify reads are over the new one
-    catalog._fermat_ring.cache_clear()
-    cold = cli._Context("sphere", 1, 1, 1)
-    assert cold.expected("d1M").ring is cold.ex.ring
-    cli._Context("ellipsoid", 2, 3, 4)
-    warm = cli._Context("sphere", 1, 1, 1)
-    assert warm.ex.ring is not cold.ex.ring and warm.ex.ring == cold.ex.ring
-    for check_id in ("d1M", "R23-corrected", "trace-12-image"):
-        assert warm.expected(check_id).ring is warm.ex.ring
-    assert cold.expected("d1M") == warm.expected("d1M")
 
 
 @pytest.mark.parametrize(
@@ -586,7 +539,7 @@ def test_sphere_trace_row_fails_a_zero_trace(monkeypatch):
 
 
 def test_report_requires_flag():
-    result = run_cli("report")
+    result = run_main("report")
     assert result.returncode == 2
 
 

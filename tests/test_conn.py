@@ -6,6 +6,7 @@ import copy
 import pickle
 from itertools import combinations, product
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from hyperconn import (
     Derivation,
     MatrixA,
     PresentationError,
+    QuotientRing,
     bracket,
     build_ellipsoid_cotangent,
     build_sphere_line_bundle,
@@ -27,8 +29,7 @@ from hyperconn import (
     make_presentation,
     modified_curvature,
     operator_commutator_matrix,
-    trace_over_image,
-    trace_over_kernel,
+    parse,
 )
 from helpers import (
     random_element,
@@ -130,17 +131,6 @@ def test_curvature_of_free_summand_is_zero():
     c = curvature_matrix(p, d1, d2)
     assert c.is_zero
     assert curvature_report(p, d1, d2, "d1", "d2").induced.is_zero
-
-
-def test_trace_split_sums_to_zero():
-    ex = build_ellipsoid_cotangent(3, 2, 4)
-    pres = ex.presentation
-    rng = Random(929292)
-    for _ in range(10):
-        delta = random_tangent(rng, ex.ring, ex.derivations, max_degree=1, max_terms=1)
-        eta = random_tangent(rng, ex.ring, ex.derivations, max_degree=1, max_terms=1)
-        c = curvature_matrix(pres, delta, eta)
-        assert (trace_over_image(pres, c) + trace_over_kernel(pres, c)).is_zero
 
 
 @pytest.mark.parametrize(
@@ -308,6 +298,53 @@ def test_modified_curvature_rejects_wrong_bracket():
     zero = MatrixA.zero(ex.ring, 3)
     with pytest.raises(ValueError):
         modified_curvature(pres, d1, d2, d3, zero, zero, zero)
+
+
+@pytest.fixture(scope="module")
+def misfits():
+    """The ellipsoid (2, 3, 4) presentation and two of its derivations, with
+    inputs that do not fit it: a 2x2 matrix, a matrix and a rotation field
+    over the unit sphere (another ring in the same variables), and a
+    rotation field of a ring in two variables."""
+    ex = build_ellipsoid_cotangent(2, 3, 4)
+    d1, d2, _ = ex.derivations
+    sphere, plane = unit_sphere(), QuotientRing(parse("x^2+y^2-1", names=("x", "y")))
+    return SimpleNamespace(
+        pres=ex.presentation, d1=d1, d2=d2, lie=bracket(d1, d2),
+        zero=MatrixA.zero(ex.ring, 3), small=MatrixA.zero(ex.ring, 2),
+        foreign=MatrixA.from_rows(sphere, [["x", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]),
+        rotation=rotations()[0], planar=Derivation(plane, ("y", "-x")),
+    )
+
+
+# Each function here leaves these refusals to the matrix, ring-element or
+# derivation operation it calls, whose ValueError carries the message.
+@pytest.mark.parametrize("misuse, message", [
+    pytest.param(lambda s: operator_commutator_matrix(s.pres, s.d1, s.foreign),
+                 "different ring", id="potential-over-another-ring"),
+    pytest.param(lambda s: operator_commutator_matrix(s.pres, s.d1, s.small),
+                 "shape mismatch", id="potential-of-another-size"),
+    pytest.param(lambda s: modified_curvature(s.pres, s.d1, s.d2, s.lie, s.foreign, s.zero, s.zero),
+                 "different ring", id="shift-over-another-ring"),
+    pytest.param(lambda s: modified_curvature(s.pres, s.d1, s.d2, s.lie, s.zero, s.small, s.zero),
+                 "shape mismatch", id="shift-of-another-size"),
+    pytest.param(lambda s: connection_apply(s.pres, s.d1, ("1", "0")),
+                 "vector length 2", id="short-vector"),
+    pytest.param(lambda s: connection_apply(s.pres, s.d1, ("1", "0", "0", "0")),
+                 "vector length 4", id="long-vector"),
+    pytest.param(lambda s: make_presentation(s.pres.ring, MatrixA.identity(unit_sphere(), 3)),
+                 "different ring", id="idempotent-over-another-ring"),
+    pytest.param(lambda s: s.d1 + s.rotation, "different ring", id="sum-over-another-ring"),
+    pytest.param(lambda s: bracket(s.d1, s.rotation), "different ring",
+                 id="bracket-over-another-ring"),
+    pytest.param(lambda s: bracket(s.d1, s.planar), "different ring",
+                 id="bracket-with-two-variables"),
+    pytest.param(lambda s: bracket(s.planar, s.d1), "different ring",
+                 id="bracket-from-two-variables"),
+])
+def test_misuse_is_refused_by_the_callee(misfits, misuse, message):
+    with pytest.raises(ValueError, match=message):
+        misuse(misfits)
 
 
 def test_modified_curvature_zero_potential_matches_plain():

@@ -159,17 +159,6 @@ def test_char_poly_trace_and_det_coefficients():
         assert cp.coefficient(0) == -a.determinant()
 
 
-def test_cayley_hamilton_spot():
-    rng = Random(222333)
-    for _ in range(10):
-        a = random_matrix(rng, SPHERE, 2, max_degree=1, max_terms=2)
-        assert cp_evaluates_to_zero(a)
-
-
-def cp_evaluates_to_zero(a) -> bool:
-    return a.char_poly().evaluate_matrix(a).is_zero
-
-
 def test_char_poly_multiplication():
     a = MatrixA.identity(SPHERE, 2).char_poly()
     b = MatrixA.from_rows(SPHERE, [["x"]]).char_poly()

@@ -6,8 +6,6 @@ imports it.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 from random import Random
 
@@ -25,7 +23,6 @@ from hyperconn import (
     reference_expected,
     trace_over_image,
 )
-from hyperconn.cli import main
 from helpers import (
     load_module,
     nonzero_polynomial,
@@ -33,6 +30,7 @@ from helpers import (
     random_gaussian,
     random_matrix,
     random_polynomial,
+    run_main,
 )
 
 X, Y, Z = sp.symbols("x y z")
@@ -238,11 +236,9 @@ def test_printed_curvature_block_matches_sympy_rebuild(example, triple):
     # tools/oracle_sweep.py rebuilds the example from its definition in sympy
     # and reduces by the Groebner basis {f}, whose remainders are unique
     p, q, r = triple
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["verify", example, "--p", str(p), "--q", str(q), "--r", str(r), "--json"])
-    assert code == 0
-    mismatches, compared = oracle_sweep.check_report(json.loads(out.getvalue()))
+    result = run_main("verify", example, "--p", str(p), "--q", str(q), "--r", str(r), "--json")
+    assert result.returncode == 0
+    mismatches, compared = oracle_sweep.check_report(json.loads(result.stdout))
     assert mismatches == []
     n = 3 if example == "ellipsoid" else 2
     assert compared["commutator entries"] == 3 * n * n
@@ -273,11 +269,9 @@ EVAL_ORACLE_CASES = [
 def test_eval_remainder_matches_sympy_reduced(dividend, modulus, domain):
     # {f} is a Groebner basis, so the grevlex remainder is unique and the
     # printed normal form must equal sympy's as a value
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(["eval", dividend, "mod", modulus])
-    assert code == 0
+    result = run_main("eval", dividend, "mod", modulus)
+    assert result.returncode == 0
     parse_text = oracle_sweep._parse
     _, remainder = sp.reduced(sp.expand(parse_text(dividend)), [parse_text(modulus)], *SYMS,
                               order="grevlex", domain=domain)
-    assert sp.expand(parse_text(out.getvalue()) - remainder) == 0
+    assert sp.expand(parse_text(result.stdout) - remainder) == 0

@@ -6,15 +6,12 @@ refactor of the report code cannot change what users see.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 from itertools import product
 
 import pytest
 
-from hyperconn.cli import main
-from helpers import prime_denominator_dividend
+from helpers import prime_denominator_dividend, run_main
 
 
 PINNED = [
@@ -110,11 +107,9 @@ def _test_id(argv) -> str:
 
 @pytest.mark.parametrize("argv, digest", PINNED, ids=[_test_id(a) for a, _ in PINNED])
 def test_output_digest(argv, digest):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
+    result = run_main(*argv)
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == digest
 
 
 # Every triple of the benchmark's verify-sweep: the ellipsoid at {2,3,4}^3 and
@@ -134,9 +129,7 @@ def test_every_benchmark_triple_digest(extra, digest):
     """The sha256 of the concatenated verify output of all 35 triples."""
     sha = hashlib.sha256()
     for example, p, q, r in SWEEP_TRIPLES:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["verify", example, "--p", str(p), "--q", str(q), "--r", str(r), *extra])
-        assert code == 0
-        sha.update(out.getvalue().encode("utf-8"))
+        result = run_main("verify", example, "--p", str(p), "--q", str(q), "--r", str(r), *extra)
+        assert result.returncode == 0
+        sha.update(result.stdout.encode("utf-8"))
     assert sha.hexdigest() == digest

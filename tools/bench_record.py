@@ -4,10 +4,11 @@ Usage (from anywhere):
 
     python3 tools/bench_record.py LABEL WORKLOAD SEED
 
-Runs ``perfbench/run.py --workload WORKLOAD --seed SEED --seconds 35
---trace 0`` on this checkout, echoes its report, and merges the result into
-BENCH_<LABEL>.json: the commit, Python version and CPU count once, and per
-workload every run (seed, attempted, failed, the five end-to-end metrics)
+Runs ``perfbench/run.py --workload WORKLOAD --seed SEED --seconds S
+--trace 0`` on this checkout, S being BENCHMARK.json's ``run_seconds``,
+echoes its report, and merges the result into BENCH_<LABEL>.json: the
+commit, Python version and CPU count once, and per workload every run
+(seed, attempted, failed, and each end-to-end metric BENCHMARK.json lists)
 with the median and quartiles of each metric over the runs so far. The
 first run of a workload in a file also runs ``--workload WORKLOAD --seed 1
 --trace 1`` and stores its exact per-op work counts (every ``*.calls``,
@@ -31,8 +32,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SECONDS = 35
-METRICS = ("ops_per_s", "latency_p50_ms", "latency_p90_ms", "setup_s", "peak_rss_mb")
+_SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+SECONDS = _SPEC["run_seconds"]
+METRICS = tuple(metric["name"] for metric in _SPEC["end_to_end"])
 # The traced run times one untraced half of TRACE_SECONDS, at least one cycle,
 # then counts one traced cycle; only the counts are kept.
 TRACE_SECONDS = 2

@@ -62,7 +62,7 @@ sys.exit(pytest.main(["-q", "-p", "no:cacheprovider"]))
 """
 
 _POLY, _QUOT, _DERIV = "src/hyperconn/polycore.py", "src/hyperconn/quotient.py", "src/hyperconn/deriv.py"
-_CONN, _CLI = "src/hyperconn/conn.py", "src/hyperconn/cli.py"
+_MAT, _CONN, _CLI = "src/hyperconn/matring.py", "src/hyperconn/conn.py", "src/hyperconn/cli.py"
 
 MUTANTS = (
     # sign and cancellation in the sum-of-products and term-map kernels
@@ -150,6 +150,16 @@ MUTANTS = (
     (_CONN, '    def __setattr__(self, name, value):\n        raise AttributeError(f"cannot assign',
      '    def _unguarded(self, name, value):\n        raise AttributeError(f"cannot assign',
      "a record's fields can be assigned"),
+    # the refusals that the connection layer and the derivations leave to their callees
+    (_MAT, "    a._require_same_shape(b)\n    n = a.rows", "    n = a.rows",
+     "commutator takes two matrices of different rings or sizes"),
+    (_MAT, "        if len(vec) != self.cols:\n            raise ValueError(f\"vector length",
+     "        if False:\n            raise ValueError(f\"vector length",
+     "MatrixA.mul_vector takes a vector of the wrong length"),
+    (_QUOT, '            if other.ring != self.ring:\n                raise ValueError("elements belong'
+     ' to different rings")\n            return other',
+     "            return other",
+     "RingElement._coerce takes an element of another ring"),
     # the row statuses
     (_CLI, "    if value.is_zero:\n        return \"pass\", pass_witness",
      "    if value.is_zero or True:\n        return \"pass\", pass_witness",
