@@ -153,8 +153,6 @@ def connection_matrix(p: ProjectivePresentation, delta: Derivation) -> MatrixA:
     Formed on first use and kept on the presentation (see the module
     docstring for why the memo cannot go stale).
     """
-    if delta.ring != p.ring:
-        raise ValueError("derivation belongs to a different ring")
     memo = p._connection_matrices
     dphi = memo.get(delta)  # one lookup: a Derivation hashes all its images
     if dphi is None:

@@ -297,8 +297,6 @@ class CharPoly:
 
     def evaluate_matrix(self, g: MatrixA) -> MatrixA:
         """Substitute the square matrix g for t (Horner over matrices)."""
-        if not g.is_square or g.ring != self.ring:
-            raise ValueError("substitution needs a square matrix over the same ring")
         identity = MatrixA.identity(self.ring, g.rows)
         result = MatrixA.zero(self.ring, g.rows)
         for c in self.coefficients:

@@ -882,8 +882,6 @@ class _Parser:
         if kind == "op" and value == "^":
             self.take()
             kind, value, pos = self.take()
-            if kind == "op" and value == "-":
-                raise ParseError("negative exponent", pos)
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer literal", pos)
             if value > MAX_EXPONENT:

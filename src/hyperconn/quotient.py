@@ -71,8 +71,6 @@ class QuotientRing:
         values = tuple(
             v if isinstance(v, GaussianRational) else GaussianRational(v) for v in point
         )
-        if len(values) != self.arity:
-            raise ValueError(f"point length {len(values)} does not match arity {self.arity}")
         residual = self.modulus.evaluate(values)
         if residual:
             raise ValueError(f"point is not on the hypersurface: f(point) = {residual}")

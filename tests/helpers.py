@@ -1,5 +1,5 @@
-"""Shared random generators, two CLI runners, a call recorder and a tool
-loader for the test suite.
+"""Shared random generators, two CLI runners, a call recorder, a refusal
+check and a tool loader for the test suite.
 
 Every test owns its seed; these helpers only consume the Random instance
 they are handed, so failures reproduce exactly.
@@ -19,6 +19,8 @@ from functools import cache
 from itertools import islice, product
 from pathlib import Path
 from random import Random
+
+import pytest
 
 from hyperconn import Derivation, GaussianRational, MatrixA, Polynomial, QuotientRing, parse
 from hyperconn.cli import main
@@ -105,6 +107,14 @@ def record_calls(patch, owner, name: str) -> list[tuple]:
 
     patch.setattr(owner, name, recorded)
     return calls
+
+
+def assert_refused(call, error: type, message: str):
+    """Assert that call() raises error itself, not a subclass of it, with
+    exactly this message."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def prime_denominator_dividend() -> str:

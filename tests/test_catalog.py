@@ -8,17 +8,19 @@ from random import Random
 import pytest
 
 from hyperconn import (
+    GaussianRational,
     MatrixA,
     QuotientRing,
     build_ellipsoid_cotangent,
     build_sphere_line_bundle,
+    catalog,
     commutator,
     curvature_matrix,
     koszul_derivations,
     parse,
     reference_expected,
 )
-from helpers import record_calls
+from helpers import assert_refused, record_calls
 
 TRIPLES = [(2, 2, 2), (2, 3, 4), (3, 2, 4), (4, 3, 2), (3, 3, 3)]
 
@@ -121,6 +123,13 @@ def test_sphere_involution_matches_corrected_display():
     for p, q, r in product(range(1, 4), repeat=3):
         expected = reference_expected("sphere", "P-corrected", p, q, r)
         assert build_sphere_line_bundle(p, q, r).involution == expected, (p, q, r)
+
+
+def test_sphere_builder_refuses_an_involution_that_does_not_square_to_one(monkeypatch):
+    # with 1 for i, P^2 = (x^2 + y^2 - z^2)*I, which is I - 2*z^2*I on the sphere
+    monkeypatch.setattr(catalog, "_I", GaussianRational(1))
+    assert_refused(lambda: build_sphere_line_bundle(1, 1, 1), ValueError,
+                   "involution square defect: [[-2*z^2, 0], [0, -2*z^2]]")
 
 
 def test_sphere_curvature_same_for_both_idempotents():

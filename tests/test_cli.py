@@ -29,7 +29,7 @@ from hyperconn.deriv import Derivation
 from hyperconn.matring import MatrixA
 from hyperconn.polycore import MAX_EXPONENT, MAX_POWER_TERMS, parse
 from hyperconn.quotient import QuotientRing, RingElement
-from helpers import child_env, load_schema, record_calls, run_cli, run_main
+from helpers import assert_refused, child_env, load_schema, record_calls, run_cli, run_main
 
 
 def test_verify_usage_errors_exit_2():
@@ -37,6 +37,9 @@ def test_verify_usage_errors_exit_2():
     assert result.returncode == 2
     result = run_main("verify", "torus", "--p", "2", "--q", "2", "--r", "2")
     assert result.returncode == 2
+    # the parser's choices refuse it first; a library call gets the same refusal
+    assert_refused(lambda: run_verification("torus", 2, 2, 2), UsageError,
+                   "unknown example 'torus'")
     result = run_main("verify", "ellipsoid", "--p", "2", "--q", "2")
     assert result.returncode == 2
     # verify and sweep refuse --parallel below 1 through one check
@@ -566,14 +569,22 @@ def test_main_returns_codes_without_exiting():
 
 
 def test_internal_error_exit_3(monkeypatch, capsys):
-    def broken(*args):
-        raise RuntimeError("simulated\nfault")
+    # printing raises ValueError for an int past the interpreter's digit limit,
+    # and eval reads it as that only when a coefficient is that long
+    for target, command, error in [
+        ("hyperconn.cli.run_verification",
+         ["verify", "ellipsoid", "--p", "2", "--q", "2", "--r", "2"], RuntimeError("simulated\nfault")),
+        ("hyperconn.polycore.Polynomial.__str__", ["eval", "x^2", "mod", "x^2+y^2+z^2-1"],
+         ValueError("simulated fault")),
+    ]:
+        def broken(*args):
+            raise error
 
-    monkeypatch.setattr("hyperconn.cli.run_verification", broken)
-    assert main(["verify", "ellipsoid", "--p", "2", "--q", "2", "--r", "2"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "internal error: RuntimeError: simulated fault\n"
+        monkeypatch.setattr(target, broken)
+        assert main(command) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal error: {type(error).__name__}: simulated fault\n"
 
 
 def test_sweep_bound_usage_error():

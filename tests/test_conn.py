@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import operator
 import pickle
 from itertools import combinations, product
 from random import Random
@@ -12,6 +13,7 @@ import pytest
 
 from hyperconn import (
     Derivation,
+    GaussianRational,
     MatrixA,
     PresentationError,
     QuotientRing,
@@ -32,6 +34,7 @@ from hyperconn import (
     parse,
 )
 from helpers import (
+    assert_refused,
     random_element,
     random_matrix,
     random_tangent,
@@ -300,6 +303,24 @@ def test_modified_curvature_rejects_wrong_bracket():
         modified_curvature(pres, d1, d2, d3, zero, zero, zero)
 
 
+def test_modified_curvature_refuses_routes_that_disagree(monkeypatch):
+    # route two assembles the unshifted curvature from curvature_matrix, which
+    # route one never calls; off by I there, the routes differ on the module
+    # by Phi*(-I)*Phi = -Phi
+    ex = build_ellipsoid_cotangent(2, 2, 2)
+    pres = ex.presentation
+    d1, d2, _ = ex.derivations
+    zero = MatrixA.zero(ex.ring, 3)
+    original = conn.curvature_matrix
+    monkeypatch.setattr(conn, "curvature_matrix", lambda p, delta, eta: (
+        original(p, delta, eta) + MatrixA.identity(p.ring, p.n)))
+    with pytest.raises(PresentationError) as info:
+        modified_curvature(pres, d1, d2, bracket(d1, d2), zero, zero, zero)
+    assert str(info.value) == (
+        f"modified curvature identity failed on the induced endomorphism: {-pres.phi}"
+    )
+
+
 @pytest.fixture(scope="module")
 def misfits():
     """The ellipsoid (2, 3, 4) presentation and two of its derivations, with
@@ -318,33 +339,67 @@ def misfits():
 
 
 # Each function here leaves these refusals to the matrix, ring-element or
-# derivation operation it calls, whose ValueError carries the message.
+# derivation operation it calls, which raises ValueError with the message.
 @pytest.mark.parametrize("misuse, message", [
+    pytest.param(lambda s: connection_matrix(s.pres, s.rotation),
+                 "matrix belongs to a different ring", id="derivation-over-another-ring"),
     pytest.param(lambda s: operator_commutator_matrix(s.pres, s.d1, s.foreign),
-                 "different ring", id="potential-over-another-ring"),
+                 "matrix belongs to a different ring", id="potential-over-another-ring"),
     pytest.param(lambda s: operator_commutator_matrix(s.pres, s.d1, s.small),
-                 "shape mismatch", id="potential-of-another-size"),
+                 "shape mismatch: 3x3 vs 2x2", id="potential-of-another-size"),
     pytest.param(lambda s: modified_curvature(s.pres, s.d1, s.d2, s.lie, s.foreign, s.zero, s.zero),
-                 "different ring", id="shift-over-another-ring"),
+                 "matrices belong to different rings", id="shift-over-another-ring"),
     pytest.param(lambda s: modified_curvature(s.pres, s.d1, s.d2, s.lie, s.zero, s.small, s.zero),
-                 "shape mismatch", id="shift-of-another-size"),
+                 "shape mismatch: 3x3 vs 2x2", id="shift-of-another-size"),
     pytest.param(lambda s: connection_apply(s.pres, s.d1, ("1", "0")),
-                 "vector length 2", id="short-vector"),
+                 "vector length 2 does not match 3 columns", id="short-vector"),
     pytest.param(lambda s: connection_apply(s.pres, s.d1, ("1", "0", "0", "0")),
-                 "vector length 4", id="long-vector"),
+                 "vector length 4 does not match 3 columns", id="long-vector"),
     pytest.param(lambda s: make_presentation(s.pres.ring, MatrixA.identity(unit_sphere(), 3)),
-                 "different ring", id="idempotent-over-another-ring"),
-    pytest.param(lambda s: s.d1 + s.rotation, "different ring", id="sum-over-another-ring"),
-    pytest.param(lambda s: bracket(s.d1, s.rotation), "different ring",
+                 "matrices belong to different rings", id="idempotent-over-another-ring"),
+    pytest.param(lambda s: s.d1 + s.rotation, "elements belong to different rings",
+                 id="sum-over-another-ring"),
+    pytest.param(lambda s: bracket(s.d1, s.rotation), "element belongs to a different ring",
                  id="bracket-over-another-ring"),
-    pytest.param(lambda s: bracket(s.d1, s.planar), "different ring",
+    pytest.param(lambda s: bracket(s.d1, s.planar), "element belongs to a different ring",
                  id="bracket-with-two-variables"),
-    pytest.param(lambda s: bracket(s.planar, s.d1), "different ring",
+    pytest.param(lambda s: bracket(s.planar, s.d1), "element belongs to a different ring",
                  id="bracket-from-two-variables"),
 ])
 def test_misuse_is_refused_by_the_callee(misfits, misuse, message):
-    with pytest.raises(ValueError, match=message):
-        misuse(misfits)
+    assert_refused(lambda: misuse(misfits), ValueError, message)
+
+
+# A value of each class that defines arithmetic or ==, with its repr.
+OPERAND_HOSTS = {
+    "GaussianRational": (lambda: GaussianRational(1, 2), "GaussianRational(1, 2)"),
+    "Polynomial": (lambda: parse("x+1"), "Polynomial('x+1')"),
+    "QuotientRing": (unit_sphere, "QuotientRing(x^2+y^2+z^2-1)"),
+    "RingElement": (lambda: unit_sphere().element("x"), "RingElement(x mod x^2+y^2+z^2-1)"),
+    "MatrixA": (lambda: MatrixA.identity(unit_sphere(), 2),
+                "MatrixA(2x2 over QuotientRing(x^2+y^2+z^2-1))"),
+    "CharPoly": (lambda: MatrixA.identity(unit_sphere(), 2).char_poly(),
+                 "CharPoly(t^2 + (-2)*t + 1)"),
+    "Derivation": (lambda: rotations()[0], "Derivation(y*d/dx + (-x)*d/dy)"),
+    "Record": (lambda: conn.DeviationReport(3, 2, 1),
+               "DeviationReport(ambient=3, rank=2, deviation=1)"),
+}
+
+
+@pytest.mark.parametrize("foreign", [object(), "x"], ids=["object", "str"])
+@pytest.mark.parametrize("name", OPERAND_HOSTS)
+def test_foreign_operands_are_refused(name, foreign):
+    # each operator answers NotImplemented to an operand it does not know, on
+    # either side, so Python raises TypeError, and == falls back to identity
+    build, text = OPERAND_HOSTS[name]
+    value = build()
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(value, foreign)
+        with pytest.raises(TypeError):
+            op(foreign, value)
+    assert not value == foreign and not foreign == value
+    assert repr(value) == text
 
 
 def test_modified_curvature_zero_potential_matches_plain():
@@ -416,8 +471,6 @@ def test_connection_matrices_are_memoised_by_value():
         assert connection_matrix(pres, twin) is stored
         assert stored == delta.apply_to_matrix(pres.phi)
     assert len(pres._connection_matrices) == 3
-    with pytest.raises(ValueError):
-        connection_matrix(pres, rotations()[0])
 
 
 def test_presentation_equality_ignores_the_memo():

@@ -19,7 +19,14 @@ from hyperconn import (
     parse,
 )
 from hyperconn.matring import trace_product
-from helpers import NAMES, random_element, random_matrix, random_polynomial, record_calls
+from helpers import (
+    NAMES,
+    assert_refused,
+    random_element,
+    random_matrix,
+    random_polynomial,
+    record_calls,
+)
 
 SPHERE = QuotientRing(parse("x^2+y^2+z^2-1"))
 
@@ -32,8 +39,6 @@ def test_constructors_and_accessors():
     assert m.column(0) == (SPHERE.element("x"), SPHERE.element("z"))
     assert MatrixA.identity(SPHERE, 2).is_square
     assert MatrixA.zero(SPHERE, 2, 3).is_zero
-    with pytest.raises(ValueError):
-        MatrixA.from_rows(SPHERE, [["x"], ["y", "z"]])
 
 
 def test_ring_algebra_random():
@@ -82,13 +87,6 @@ def test_trace_product_is_trace_of_product():
     tall = MatrixA.from_rows(SPHERE, [[random_polynomial(rng) for _ in range(2)] for _ in range(3)])
     assert trace_product(wide, tall) == (wide * tall).trace()
     assert trace_product(tall, wide) == (tall * wide).trace()
-    with pytest.raises(ValueError):
-        trace_product(wide, wide)
-    with pytest.raises(ValueError):
-        trace_product(random_matrix(rng, SPHERE, 3), tall)
-    other = QuotientRing(parse("x^2+y^2+z^2-2"))
-    with pytest.raises(ValueError):
-        trace_product(MatrixA.identity(SPHERE, 2), MatrixA.identity(other, 2))
 
 
 @pytest.mark.parametrize(
@@ -106,10 +104,73 @@ def test_commutator_matches_two_products(ring):
             assert commutator(b, a) == -commutator(a, b)
 
 
-def test_commutator_requires_square_same_shape():
-    a = MatrixA.zero(SPHERE, 2, 3)
-    with pytest.raises(ValueError):
-        commutator(a, a)
+OTHER = QuotientRing(parse("x^2+y^2+z^2-2"))
+
+
+def t_minus_one_squared() -> CharPoly:
+    return MatrixA.identity(SPHERE, 2).char_poly()
+
+
+# Each refusal of this module that a call makes with one message, once: the
+# call, the exception's exact type and its whole message. A characteristic
+# polynomial leaves the refusal of a matrix of another ring or shape to the
+# product and sum of its Horner loop.
+@pytest.mark.parametrize("misuse, error, message", [
+    pytest.param(lambda: MatrixA(SPHERE, 0, 1, []), ValueError,
+                 "matrix dimensions must be positive", id="no-rows"),
+    pytest.param(lambda: MatrixA(SPHERE, 1, 2, [SPHERE.one()]), ValueError,
+                 "expected 2 entries, got 1", id="too-few-entries"),
+    pytest.param(lambda: MatrixA(SPHERE, 1, 1, ["x"]), TypeError,
+                 "entries must be ring elements; use from_rows to coerce", id="text-entry"),
+    pytest.param(lambda: MatrixA(SPHERE, 1, 1, [OTHER.one()]), ValueError,
+                 "entry belongs to a different ring", id="entry-of-another-ring"),
+    pytest.param(lambda: MatrixA.from_rows(SPHERE, []), ValueError,
+                 "matrix needs at least one row", id="empty-rows"),
+    # six entries, so without the check these rows would make a 3x2 matrix
+    pytest.param(lambda: MatrixA.from_rows(SPHERE, [[1, 2], [3], [4, 5, 6]]), ValueError,
+                 "rows must all have the same length", id="ragged-rows"),
+    pytest.param(lambda: MatrixA.identity(SPHERE, 2) * MatrixA.identity(OTHER, 2), ValueError,
+                 "matrices belong to different rings", id="product-over-two-rings"),
+    pytest.param(lambda: MatrixA.identity(SPHERE, 2) * MatrixA.zero(SPHERE, 3, 1), ValueError,
+                 "cannot multiply 2x2 by 3x1", id="product-of-misfit-shapes"),
+    pytest.param(lambda: MatrixA.zero(SPHERE, 2, 3).trace(), ValueError,
+                 "trace requires a square matrix", id="trace-of-wide"),
+    pytest.param(lambda: MatrixA.zero(SPHERE, 2, 3).determinant(), ValueError,
+                 "determinant requires a square matrix", id="determinant-of-wide"),
+    pytest.param(lambda: MatrixA.identity(SPHERE, 7).char_poly(), ValueError,
+                 "cofactor expansion is limited to n <= 6", id="char-poly-of-7x7"),
+    pytest.param(lambda: trace_product(MatrixA.zero(SPHERE, 2, 3), MatrixA.zero(SPHERE, 2, 3)),
+                 ValueError, "a*b is not square: 2x3 by 2x3", id="trace-product-not-square"),
+    # a*b is defined here, but 3x2
+    pytest.param(lambda: trace_product(MatrixA.zero(SPHERE, 3, 3), MatrixA.zero(SPHERE, 3, 2)),
+                 ValueError, "a*b is not square: 3x3 by 3x2", id="trace-product-3x2"),
+    pytest.param(lambda: trace_product(MatrixA.identity(SPHERE, 2), MatrixA.identity(OTHER, 2)),
+                 ValueError, "matrices belong to different rings", id="trace-product-of-two-rings"),
+    pytest.param(lambda: commutator(MatrixA.identity(SPHERE, 2), 1), TypeError,
+                 "commutator needs two matrices", id="commutator-with-a-number"),
+    pytest.param(lambda: commutator(MatrixA.zero(SPHERE, 2, 3), MatrixA.zero(SPHERE, 2, 3)),
+                 ValueError, "commutator requires square matrices", id="commutator-of-wide"),
+    pytest.param(lambda: CharPoly(SPHERE, []), ValueError,
+                 "a characteristic polynomial needs coefficients", id="no-coefficients"),
+    pytest.param(lambda: CharPoly(SPHERE, [1]), ValueError,
+                 "coefficients must be elements of the given ring", id="integer-coefficient"),
+    pytest.param(lambda: CharPoly(SPHERE, [OTHER.one()]), ValueError,
+                 "coefficients must be elements of the given ring", id="foreign-coefficient"),
+    pytest.param(lambda: CharPoly(SPHERE, [SPHERE.element(2)]), ValueError,
+                 "characteristic polynomials are monic", id="not-monic"),
+    pytest.param(lambda: t_minus_one_squared().coefficient(3), ValueError,
+                 "no coefficient of degree 3", id="coefficient-above-degree"),
+    pytest.param(lambda: t_minus_one_squared() * MatrixA.identity(OTHER, 2).char_poly(),
+                 ValueError, "characteristic polynomials over different rings",
+                 id="char-polys-over-two-rings"),
+    pytest.param(lambda: t_minus_one_squared().evaluate_matrix(MatrixA.zero(SPHERE, 2, 3)),
+                 ValueError, "shape mismatch: 2x3 vs 2x2", id="substitute-a-wide-matrix"),
+    pytest.param(lambda: t_minus_one_squared().evaluate_matrix(MatrixA.identity(OTHER, 2)),
+                 ValueError, "matrices belong to different rings",
+                 id="substitute-over-another-ring"),
+])
+def test_misuse_is_refused(misuse, error, message):
+    assert_refused(misuse, error, message)
 
 
 def test_determinant_multiplicative():

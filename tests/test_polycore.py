@@ -26,6 +26,7 @@ from hyperconn.cli import main
 from hyperconn.polycore import MAX_EXPONENT, MAX_NESTING, _heap_key
 from helpers import (
     NAMES,
+    assert_refused,
     nonzero_gaussian,
     pairwise_mul,
     random_gaussian,
@@ -700,24 +701,6 @@ def test_parse_grammar():
     assert parse("x", names=("x",)) == Polynomial(("x",), {(1,): 1})
 
 
-def test_parse_errors_carry_position():
-    with pytest.raises(ParseError) as err:
-        parse("x +")
-    assert err.value.position == 3
-    with pytest.raises(ParseError):
-        parse("x^-2")
-    with pytest.raises(ParseError):
-        parse("q + 1")
-    with pytest.raises(ParseError):
-        parse("x/<y")
-    with pytest.raises(ParseError):
-        parse("x y")  # implicit multiplication is rejected
-    with pytest.raises(ParseError):
-        parse("x/y")  # division only by nonzero constants
-    with pytest.raises(ParseError):
-        parse("x/0")
-
-
 def test_multi_character_names_and_constant_comparisons():
     # names longer than one character are read whole, never split
     assert parse("x1*x2", names=("x1", "x2")) == Polynomial(("x1", "x2"), {(1, 1): 1})
@@ -733,11 +716,51 @@ def test_multi_character_names_and_constant_comparisons():
     assert ring.nf(parse("x^2")) and ring.one()
 
 
-def test_parse_rejects_reserved_names():
-    with pytest.raises(ValueError):
-        parse("a+b", names=("a", "i"))
-    with pytest.raises(ValueError):
-        Polynomial(("x", "x"), {})
+# Each refusal of this module that a call makes with one message, once: the
+# call, the exception's exact type and its whole message, which for a parse
+# error ends in the position.
+@pytest.mark.parametrize("misuse, error, message", [
+    pytest.param(lambda: Polynomial((), {}), ValueError,
+                 "at least one variable name is required", id="no-names"),
+    pytest.param(lambda: Polynomial(("x", "2y")), ValueError,
+                 "invalid variable name '2y'", id="invalid-name"),
+    pytest.param(lambda: parse("a+b", names=("a", "i")), ValueError,
+                 "variable name 'i' is reserved for the imaginary unit", id="reserved-name"),
+    pytest.param(lambda: Polynomial(("x", "x"), {}), ValueError,
+                 "duplicate variable name 'x'", id="duplicate-name"),
+    pytest.param(lambda: Polynomial(NAMES, {(0, 0, 0): 1.5}), TypeError,
+                 "cannot use float as a coefficient", id="float-coefficient"),
+    pytest.param(lambda: Polynomial.variable(NAMES, 3), ValueError,
+                 "variable index 3 out of range", id="variable-index"),
+    pytest.param(lambda: Polynomial(NAMES).leading_monomial(), ValueError,
+                 "the zero polynomial has no leading monomial", id="zero-lead"),
+    pytest.param(lambda: parse("x").partial_derivative(3), ValueError,
+                 "variable index 3 out of range for arity 3", id="partial-index"),
+    # QuotientRing.require_point_on_surface leaves this refusal to evaluate
+    pytest.param(lambda: parse("x").evaluate((1, 0)), ValueError,
+                 "point length 2 does not match arity 3", id="short-point"),
+    pytest.param(lambda: parse("x +"), ParseError,
+                 "unexpected end of input (at position 3)", id="end-of-input"),
+    pytest.param(lambda: parse("(x+1"), ParseError, "expected ')' (at position 4)", id="unclosed"),
+    pytest.param(lambda: parse("x+*y"), ParseError, "unexpected '*' (at position 2)",
+                 id="operator-for-operand"),
+    pytest.param(lambda: parse("x y"), ParseError, "unexpected 'y' (at position 2)",
+                 id="implicit-product"),
+    pytest.param(lambda: parse("x^-2"), ParseError,
+                 "exponent must be a non-negative integer literal (at position 2)",
+                 id="negative-exponent"),
+    pytest.param(lambda: parse("q + 1"), ParseError, "unknown variable 'q' (at position 0)",
+                 id="unknown-variable"),
+    pytest.param(lambda: parse("x/<y"), ParseError, "unexpected character '<' (at position 2)",
+                 id="unknown-character"),
+    pytest.param(lambda: parse("x/y"), ParseError,
+                 "division is only allowed by a nonzero constant (at position 1)",
+                 id="division-by-a-variable"),
+    pytest.param(lambda: parse("x/0"), ParseError, "division by zero (at position 1)",
+                 id="division-by-zero"),
+])
+def test_misuse_is_refused(misuse, error, message):
+    assert_refused(misuse, error, message)
 
 
 def test_parse_accepts_only_ascii_digits():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hyperconn import GaussianRational, Polynomial, QuotientRing, parse
 from hyperconn.polycore import _add_terms, _sum_of_products
-from helpers import NAMES, pairwise_mul, random_element, record_calls
+from helpers import NAMES, assert_refused, pairwise_mul, random_element, record_calls
 
 SPHERE = QuotientRing(parse("x^2+y^2+z^2-1"))
 CUBIC = QuotientRing(parse("x^2*y+y^2*z+x*z^2-1"))
@@ -230,6 +230,22 @@ def test_power_rejects_negative_and_fractional_exponents(base):
         with pytest.raises(ValueError, match="non-negative integer"):
             base ** exponent
     assert base ** 1 == base
+
+
+# Each refusal of this module that a call makes with one message, once: the
+# call, the exception's exact type and its whole message. A point of the
+# wrong length is refused by Polynomial.evaluate, and a sum or difference
+# over two rings by RingElement._coerce (tests/test_conn.py).
+@pytest.mark.parametrize("misuse, error, message", [
+    pytest.param(lambda: SPHERE.element(CUBIC.one()), ValueError,
+                 "element belongs to a different ring", id="element-of-another-ring"),
+    pytest.param(lambda: SPHERE.element(1.5), TypeError, "cannot coerce float into the ring",
+                 id="float-element"),
+    pytest.param(lambda: SPHERE.one() * CUBIC.one(), ValueError,
+                 "elements belong to different rings", id="product-over-two-rings"),
+])
+def test_misuse_is_refused(misuse, error, message):
+    assert_refused(misuse, error, message)
 
 
 def test_nf_module_function():

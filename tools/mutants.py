@@ -160,6 +160,19 @@ MUTANTS = (
      ' to different rings")\n            return other',
      "            return other",
      "RingElement._coerce takes an element of another ring"),
+    # the lone owners of refusals that their callers leave to them
+    (_DERIV, "        if m.ring != self.ring:\n            raise ValueError(\"matrix belongs",
+     "        if False:\n            raise ValueError(\"matrix belongs",
+     "Derivation.apply_to_matrix takes a matrix of another ring"),
+    (_POLY, "        if len(values) != self.arity:\n            raise ValueError(f\"point length",
+     "        if False:\n            raise ValueError(f\"point length",
+     "Polynomial.evaluate takes a point of the wrong length"),
+    (_MAT, "        if any(len(row) != width for row in data):",
+     "        if False:",
+     "MatrixA.from_rows takes rows of different lengths"),
+    (_POLY, "        if name in seen:\n            raise ValueError(f\"duplicate",
+     "        if False:\n            raise ValueError(f\"duplicate",
+     "_check_names takes a variable name twice"),
     # the row statuses
     (_CLI, "    if value.is_zero:\n        return \"pass\", pass_witness",
      "    if value.is_zero or True:\n        return \"pass\", pass_witness",
