@@ -41,8 +41,8 @@ from .deriv import bracket
 from .polycore import MAX_EXPONENT, ParseError, _coefficient_bits, _lowest_terms, parse
 from .quotient import QuotientRing
 
-_GOLDEN_TRIPLE = (1, 1, 1)
 _BASE_POINT = (1, 0, 0)
+_STATUSES = ("pass", "fail", "discrepancy")
 _PAIRS = ((0, 1, "12"), (0, 2, "13"), (1, 2, "23"))
 # Largest sweep --max: at most 20^3 = 8,000 triples, at about 0.06 s each.
 MAX_SWEEP = 20
@@ -71,7 +71,7 @@ class UsageError(ValueError):
 
 
 class CheckResult(Record):
-    __slots__ = ("name", "status", "witness", "seconds")  # status: pass, fail or discrepancy
+    __slots__ = ("name", "status", "witness", "seconds")  # status: one of _STATUSES
 
     def to_json(self, include_timings: bool = False) -> dict:
         data = {"name": self.name, "status": self.status, "witness": self.witness}
@@ -87,7 +87,7 @@ class VerificationReport(Record):
     __slots__ = ("example", "p", "q", "r", "checks", "curvature", "notes")
 
     def counts(self) -> dict:
-        tally = {"pass": 0, "fail": 0, "discrepancy": 0}
+        tally = dict.fromkeys(_STATUSES, 0)
         for check in self.checks:
             tally[check.status] += 1
         return tally
@@ -304,7 +304,7 @@ class _Family(Record):
     build is the catalog builder's name, looked up when called, so a patched
     binding is used; label the derivation prefix in the curvature block; rows
     the (name, check) pairs in report order, check(ctx) -> (status, witness);
-    golden_only the row names run only at _GOLDEN_TRIPLE, and golden_notes
+    golden_only the row names run only at catalog.DISPLAY_TRIPLE, and golden_notes
     the notes added there."""
 
     __slots__ = ("build", "label", "rows", "notes", "golden_only", "golden_notes")
@@ -315,7 +315,7 @@ _FAMILIES = {
         "build_ellipsoid_cotangent",
         "d",
         _ELLIPSOID_ROWS,
-        ("point checks evaluate at the on-surface point (1, 0, 0)",),
+        (f"point checks evaluate at the on-surface point {_BASE_POINT}",),
         frozenset(),
         (),
     ),
@@ -337,9 +337,6 @@ _FAMILIES = {
     ),
 }
 
-ELLIPSOID_CHECKS = tuple(name for name, _ in _ELLIPSOID_ROWS)
-SPHERE_CHECKS = tuple(name for name, _ in _SPHERE_ROWS)
-
 
 def run_verification(example: str, p: int, q: int, r: int) -> VerificationReport:
     """Build the example, run and time each row of its check table, and
@@ -348,7 +345,7 @@ def run_verification(example: str, p: int, q: int, r: int) -> VerificationReport
         raise UsageError(f"unknown example {example!r}")
     ctx = _Context(example, p, q, r)
     family = ctx.family
-    golden = (p, q, r) == _GOLDEN_TRIPLE
+    golden = (p, q, r) == catalog.DISPLAY_TRIPLE
     results = []
     for name, check in family.rows:
         if name in family.golden_only and not golden:
@@ -378,7 +375,7 @@ def _require_parallel(n: int):
 
 
 def _tally_text(tally: dict) -> str:
-    return f"{tally['pass']} pass, {tally['fail']} fail, {tally['discrepancy']} discrepancy"
+    return ", ".join(f"{tally[status]} {status}" for status in _STATUSES)
 
 
 def _render_verification(report: VerificationReport, timings: bool) -> str:
@@ -443,18 +440,10 @@ def cmd_sweep(args) -> int:
             reports = list(pool.map(_sweep_worker, tasks))
     else:
         reports = [_sweep_worker(task) for task in tasks]
-    summary = {"pass": 0, "fail": 0, "discrepancy": 0}
-    for report in reports:
-        for key in summary:
-            summary[key] += report["summary"][key]
-    failed = summary["fail"] > 0
+    summary = {status: sum(report["summary"][status] for report in reports)
+               for status in _STATUSES}
     if args.json:
-        payload = {
-            "example": example,
-            "max": args.max,
-            "reports": reports,
-            "summary": summary,
-        }
+        payload = {"example": example, "max": args.max, "reports": reports, "summary": summary}
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         lines = [f"sweep {example} max={args.max} ({len(reports)} triples)"]
@@ -466,7 +455,7 @@ def cmd_sweep(args) -> int:
             )
         lines.append(f"summary: {_tally_text(summary)}")
         sys.stdout.write("\n".join(lines) + "\n")
-    return 1 if failed else 0
+    return 1 if summary["fail"] else 0
 
 
 def cmd_eval(args) -> int:
@@ -515,7 +504,8 @@ def cmd_eval(args) -> int:
 def cmd_report(args) -> int:
     if not args.list_checks:
         raise UsageError("report requires --list-checks")
-    catalog_map = {"ellipsoid": list(ELLIPSOID_CHECKS), "sphere": list(SPHERE_CHECKS)}
+    catalog_map = {example: [name for name, _ in family.rows]
+                   for example, family in _FAMILIES.items()}
     if args.json:
         sys.stdout.write(json.dumps(catalog_map, indent=2) + "\n")
     else:
@@ -525,6 +515,15 @@ def cmd_report(args) -> int:
             lines.extend(f"  {name}" for name in names)
         sys.stdout.write("\n".join(lines) + "\n")
     return 0
+
+
+def _add_report_options(command: argparse.ArgumentParser, parallel_help: str):
+    """The --json, --timings and --parallel options that verify and sweep share."""
+    command.add_argument("--json", action="store_true", help="emit a JSON report")
+    command.add_argument(
+        "--timings", action="store_true", help="include per-check seconds (not byte-stable)"
+    )
+    command.add_argument("--parallel", type=int, default=1, metavar="N", help=parallel_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,29 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--p", type=int, required=True)
     verify.add_argument("--q", type=int, required=True)
     verify.add_argument("--r", type=int, required=True)
-    verify.add_argument("--json", action="store_true", help="emit a JSON report")
-    verify.add_argument(
-        "--timings", action="store_true", help="include per-check seconds (not byte-stable)"
-    )
-    verify.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        metavar="N",
-        help="accepted for interface symmetry; a single triple verifies serially",
+    _add_report_options(
+        verify, "accepted for interface symmetry; a single triple verifies serially"
     )
     verify.set_defaults(func=cmd_verify)
 
     sweep = sub.add_parser("sweep", help="verify every triple with parameters up to a bound")
     sweep.add_argument("example", choices=list(_FAMILIES))
     sweep.add_argument("--max", type=int, required=True)
-    sweep.add_argument("--json", action="store_true", help="emit a JSON report")
-    sweep.add_argument(
-        "--timings", action="store_true", help="include per-check seconds (not byte-stable)"
-    )
-    sweep.add_argument(
-        "--parallel", type=int, default=1, metavar="N", help="worker processes for the sweep"
-    )
+    _add_report_options(sweep, "worker processes for the sweep")
     sweep.set_defaults(func=cmd_sweep)
 
     evaluate = sub.add_parser("eval", help="print the canonical form of EXPR mod MODULUS")

@@ -300,7 +300,9 @@ class CharPoly:
         identity = MatrixA.identity(self.ring, g.rows)
         result = MatrixA.zero(self.ring, g.rows)
         for c in self.coefficients:
-            result = result * g + identity.scale(c)
+            # result is a polynomial in g, so g * result = result * g, and a
+            # non-square g is refused by its own shape
+            result = g * result + identity.scale(c)
         return result
 
     def __str__(self) -> str:

@@ -31,7 +31,7 @@ from hyperconn import (
     trace_over_image,
     trace_over_kernel,
 )
-from hyperconn.cli import CheckResult, VerificationReport, run_verification
+from hyperconn.cli import run_verification
 from helpers import load_schema, random_element, random_matrix, random_tangent, run_cli
 
 TRIPLES = list(itertools.product((2, 3, 4), repeat=3))
@@ -327,17 +327,6 @@ def test_cli_contract():
     assert "requires p, q, r >= 2" in usage.stderr
     bad_expr = run_cli("eval", "x +", "mod", "x^2+y^2+z^2-1")
     assert bad_expr.returncode == 2
-
-    failing = VerificationReport(
-        example="ellipsoid",
-        p=2,
-        q=2,
-        r=2,
-        checks=(CheckResult(name="idempotent", status="fail", witness="x", seconds=0.0),),
-        curvature=(),
-        notes=(),
-    )
-    assert failing.failed
 
     start = time.perf_counter()
     sweep = run_cli("sweep", "ellipsoid", "--max", "4", "--json")

@@ -599,8 +599,6 @@ def test_deviation_report():
     assert report.ambient == 3
     assert report.rank == 2
     assert report.deviation == 1
-    with pytest.raises(ValueError):
-        deviation_report(ex.presentation, (1, 1, 1))
 
 
 def test_curvature_matrix_names_the_kernel_witness():

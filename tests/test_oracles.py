@@ -14,12 +14,14 @@ import sympy as sp
 
 from hyperconn import (
     GaussianRational,
+    MatrixA,
     QuotientRing,
-    build_ellipsoid_cotangent,
+    catalog,
     divide_remainder,
     parse,
     reference_expected,
 )
+from hyperconn.cli import run_verification
 from helpers import (
     load_module,
     nonzero_polynomial,
@@ -27,6 +29,7 @@ from helpers import (
     random_gaussian,
     random_matrix,
     random_polynomial,
+    record_calls,
     run_main,
 )
 
@@ -127,68 +130,110 @@ def test_char_poly_matches_sympy_mod_f():
             assert divisible(to_sympy(ours.coefficient(k).rep) - coeff, modulus)
 
 
-def _sympy_ellipsoid(p, q, r):
-    f = X**p + Y**q + Z**r - 1
-    m = sp.Matrix(
-        [
-            [1 - X**p, -sp.Rational(p, q) * X ** (p - 1) * Y, -sp.Rational(p, r) * X ** (p - 1) * Z],
-            [-sp.Rational(q, p) * X * Y ** (q - 1), 1 - Y**q, -sp.Rational(q, r) * Y ** (q - 1) * Z],
-            [-sp.Rational(r, p) * X * Z ** (r - 1), -sp.Rational(r, q) * Y * Z ** (r - 1), 1 - Z**r],
-        ]
-    )
-    return f, m
-
-
-def test_ellipsoid_differentials_rederived_with_sympy():
-    p, q, r = 2, 3, 4
-    f, m = _sympy_ellipsoid(p, q, r)
-    images = [
-        (q * Y ** (q - 1), -p * X ** (p - 1), sp.Integer(0)),
-        (r * Z ** (r - 1), sp.Integer(0), -p * X ** (p - 1)),
-        (sp.Integer(0), r * Z ** (r - 1), -q * Y ** (q - 1)),
-    ]
-    ex = build_ellipsoid_cotangent(p, q, r)
-    # the hand-typed display is the Euler-vector projector I - grad(f)*E^T
-    grad = sp.Matrix([sp.diff(f, s) for s in SYMS])
-    euler = sp.Matrix([X / p, Y / q, Z / r])
-    assert sp.expand(sp.eye(3) - grad * euler.T - m) == sp.zeros(3, 3)
-    golden_m = reference_expected("ellipsoid", "M", p, q, r)
-    for i in range(3):
-        for j in range(3):
-            assert divisible(to_sympy(golden_m.entry(i, j).rep) - m[i, j], f)
-            assert divisible(to_sympy(ex.presentation.phi.entry(i, j).rep) - m[i, j], f)
-    golden_dfvec = reference_expected("ellipsoid", "dFvec", p, q, r)
-    for ours, theirs in zip(golden_dfvec, grad):
-        assert divisible(to_sympy(ours.rep) - theirs, f)
-    for index, image in enumerate(images, 1):
-        derived = m.applyfunc(
-            lambda e: sp.expand(
-                image[0] * sp.diff(e, X) + image[1] * sp.diff(e, Y) + image[2] * sp.diff(e, Z)
-            )
-        )
-        template = reference_expected("ellipsoid", f"d{index}M", p, q, r)
-        for i in range(3):
-            for j in range(3):
-                ours = to_sympy(template.entry(i, j).rep)
-                assert divisible(ours - derived[i, j], f)
-        computed = ex.derivations[index - 1].apply_to_matrix(ex.presentation.phi)
-        for i in range(3):
-            for j in range(3):
-                assert divisible(to_sympy(computed.entry(i, j).rep) - derived[i, j], f)
-
-
-def test_sphere_corrected_involution_squares_to_identity_in_sympy():
-    for p, q, r in [(1, 1, 1), (2, 1, 1), (1, 2, 3), (3, 2, 1), (2, 3, 2)]:
-        f = X ** (2 * p) + Y ** (2 * q) + Z ** (2 * r) - 1
-        golden = reference_expected("sphere", "P-corrected", p, q, r)
-        pm = sp.Matrix(2, 2, lambda i, j: to_sympy(golden.entry(i, j).rep))
-        defect = pm * pm - sp.eye(2)
-        for i in range(2):
-            for j in range(2):
-                assert divisible(defect[i, j], f), (p, q, r, i, j)
-
-
 oracle_sweep = load_module("tools/oracle_sweep.py")
+
+
+def _sympy_value(golden):
+    """A golden as sympy: a matrix, a vector as a column, or an expression."""
+    if isinstance(golden, MatrixA):
+        return sp.Matrix(golden.rows, golden.cols, lambda i, j: to_sympy(golden.entry(i, j).rep))
+    if isinstance(golden, tuple):
+        return sp.Matrix([to_sympy(v.rep) for v in golden])
+    return to_sympy(golden.rep)
+
+
+def _golden_relations(example, p, q, r):
+    """Each reference_expected id of the example at (p, q, r), with the
+    residual that its golden g makes zero modulo f, formed from
+    oracle_sweep.rebuild alone; and the Groebner basis {f}."""
+    phi, fields, basis = oracle_sweep.rebuild(example, p, q, r)
+    n, derive = phi.rows, oracle_sweep.derive
+
+    def d(k, m):
+        return m.applyfunc(lambda e: derive(fields[k], e))
+
+    dphi = [d(k, phi) for k in range(3)]
+    c = {f"{i + 1}{j + 1}": dphi[i] * dphi[j] - dphi[j] * dphi[i] for i, j in oracle_sweep._PAIRS}
+    if example == "ellipsoid":
+        (f,) = basis.exprs
+        grad = sp.Matrix([sp.diff(f, s) for s in SYMS])
+
+        def connection(k, v):  # A_{d_k}(v) = d_k(v) + d_k(Phi)*v
+            return d(k, v) + dphi[k] * v
+
+        relations = {"M": lambda g: g - phi, "dFvec": lambda g: g - grad}
+        for k in range(3):
+            relations[f"d{k + 1}M"] = lambda g, k=k: g - dphi[k]
+            relations[f"formone-scalar-{k + 1}"] = (
+                lambda g, k=k: connection(k, grad) - g * grad)
+        for i, j in oracle_sweep._PAIRS:
+            # [d_i, d_j] is g times the remaining derivation
+            bracket = sp.Matrix([derive(fields[i], b) - derive(fields[j], a)
+                                 for a, b in zip(fields[i], fields[j])])
+            relations[f"bracket-scalar-{i + 1}{j + 1}"] = (
+                lambda g, bracket=bracket, k=3 - i - j: bracket - g * sp.Matrix(fields[k]))
+        for a, b in ((0, 1), (1, 0)):
+            relations[f"nested-{a + 1}{b + 1}-scalar"] = (
+                lambda g, a=a, b=b: connection(a, connection(b, grad)) - g * grad)
+        return relations, basis
+    # the sphere: Phi = I - M and P = 2M - I
+    m = sp.eye(n) - phi
+    involution = sp.eye(n) - 2 * phi
+    misprint = sp.zeros(n, n)
+    misprint[1, 0] = Y**p - Y**q  # the printed (2,1) entry reads y^p for y^q
+    relations = {
+        "P-corrected": lambda g: g - involution,
+        "P-printed": lambda g: g - involution - misprint,
+    }
+    if (p, q, r) != catalog.DISPLAY_TRIPLE:
+        return relations, basis
+    dm = [d(k, m) for k in range(3)]
+    trace = {tag: (m * c[tag]).trace() for tag in c}
+    # the printed R23 reads z^2 for y*z in entry (1,2), so it is neither C23 nor -C23
+    r23_misprint = sp.zeros(n, n)
+    r23_misprint[0, 1] = sp.I / 2 * (Y * Z - Z**2)
+    relations.update({
+        "d1M": lambda g: g - dm[0],
+        "d2M": lambda g: g - dm[1],
+        "d3M-corrected": lambda g: g - dm[2],
+        "d3M-printed": lambda g: g + dm[2],
+        "R12": lambda g: g - c["12"],
+        "R13-corrected": lambda g: g - c["13"],
+        "R13-printed": lambda g: g + c["13"],
+        "R23-corrected": lambda g: g - c["23"],
+        "R23-printed": lambda g: g + c["23"] - r23_misprint,
+    })
+    for tag, factor in (("12", 2), ("13", -2), ("23", -2)):
+        relations[f"trace-{tag}-image"] = lambda g, tag=tag: g - trace[tag]
+        relations[f"trace-{tag}-printed"] = lambda g, tag=tag, k=factor: g - k * trace[tag]
+    return relations, basis
+
+
+GOLDEN_TRIPLES = [
+    ("ellipsoid", (2, 3, 4)), ("ellipsoid", (3, 2, 2)), ("ellipsoid", (4, 4, 3)),
+    ("sphere", (1, 1, 1)), ("sphere", (2, 1, 1)), ("sphere", (1, 2, 3)), ("sphere", (3, 2, 1)),
+    ("sphere", (2, 3, 2)),
+]
+
+
+@pytest.mark.parametrize("example, triple", GOLDEN_TRIPLES,
+                         ids=[f"{e}-{p}{q}{r}" for e, (p, q, r) in GOLDEN_TRIPLES])
+def test_every_golden_matches_the_sympy_rebuild(monkeypatch, example, triple):
+    # {f} is a Groebner basis, so a residual is zero modulo f exactly when
+    # its remainder is; printed ids are held to their documented misprints
+    relations, basis = _golden_relations(example, *triple)
+    for check_id, residual in relations.items():
+        golden = _sympy_value(reference_expected(example, check_id, *triple))
+        remainders = sp.Matrix([residual(golden)]).applyfunc(
+            lambda e: basis.reduce(sp.expand(e))[1])
+        assert remainders.is_zero_matrix, (check_id, remainders)
+    # every golden a verify reads is among them, and at the display triple
+    # so is every sphere display
+    reads = record_calls(monkeypatch, catalog, "reference_expected")
+    run_verification(example, *triple)
+    assert {check_id for _, check_id, *_ in reads} <= set(relations)
+    if example == "sphere" and triple == catalog.DISPLAY_TRIPLE:
+        assert set(relations) == {"P-printed", "P-corrected", *catalog._sphere_displays()}
 
 
 @pytest.mark.parametrize(
@@ -203,12 +248,6 @@ def test_printed_curvature_block_matches_sympy_rebuild(example, triple):
     result = run_main("verify", example, "--p", str(p), "--q", str(q), "--r", str(r), "--json")
     assert result.returncode == 0
     report = json.loads(result.stdout)
-    if example == "sphere" and triple == (1, 1, 1):
-        # each trace-*-image golden is the printed tr((I - Phi)*C) to the
-        # letter, so the oracle's comparison below confirms the golden itself
-        for block, tag in zip(report["curvature"], ("12", "13", "23"), strict=True):
-            golden = reference_expected("sphere", f"trace-{tag}-image", 1, 1, 1)
-            assert block["trace_kernel"] == str(golden)
     mismatches, compared = oracle_sweep.check_report(report)
     assert mismatches == []
     n = 3 if example == "ellipsoid" else 2

@@ -243,6 +243,12 @@ def test_power_rejects_negative_and_fractional_exponents(base):
                  id="float-element"),
     pytest.param(lambda: SPHERE.one() * CUBIC.one(), ValueError,
                  "elements belong to different rings", id="product-over-two-rings"),
+    pytest.param(lambda: SPHERE.require_point_on_surface((1, 1, 0)), ValueError,
+                 "point is not on the hypersurface: f(point) = 1", id="point-off-the-surface"),
+    # evaluate leaves that refusal to require_point_on_surface, as does
+    # MatrixA.rank_at_point (tests/test_matring.py)
+    pytest.param(lambda: SPHERE.element("x*y + z").evaluate((2, 0, 0)), ValueError,
+                 "point is not on the hypersurface: f(point) = 3", id="evaluate-off-the-surface"),
 ])
 def test_misuse_is_refused(misuse, error, message):
     assert_refused(misuse, error, message)
@@ -254,24 +260,12 @@ def test_nf_module_function():
     assert str(value) == str(SPHERE.element(parse("x^4")))
 
 
-def test_point_checks():
-    assert SPHERE.require_point_on_surface((1, 0, 0)) == (1, 0, 0)
-    with pytest.raises(ValueError):
-        SPHERE.require_point_on_surface((1, 1, 1))
-
-
-def test_point_off_surface_message_carries_residual():
-    with pytest.raises(ValueError) as err:
-        SPHERE.require_point_on_surface((1, 1, 0))
-    assert "1" in str(err.value)
-
-
 def test_evaluate_requires_on_surface_point():
+    # off-surface points are refused in test_misuse_is_refused
+    assert SPHERE.require_point_on_surface((1, 0, 0)) == (1, 0, 0)
     a = SPHERE.element("x*y + z")
     value = a.evaluate((0, 1, 0))
     assert value == GaussianRational(0)
-    with pytest.raises(ValueError):
-        a.evaluate((2, 0, 0))
 
 
 def test_evaluate_gaussian_point():

@@ -170,6 +170,12 @@ MUTANTS = (
     (_MAT, "        if any(len(row) != width for row in data):",
      "        if False:",
      "MatrixA.from_rows takes rows of different lengths"),
+    (_QUOT, "        values = self.ring.require_point_on_surface(point)\n        return",
+     "        values = point\n        return",
+     "RingElement.evaluate takes an off-surface point"),
+    (_MAT, "        values = self.ring.require_point_on_surface(point)\n        grid",
+     "        values = point\n        grid",
+     "MatrixA.rank_at_point takes an off-surface point"),
     (_POLY, "        if name in seen:\n            raise ValueError(f\"duplicate",
      "        if False:\n            raise ValueError(f\"duplicate",
      "_check_names takes a variable name twice"),
@@ -186,6 +192,19 @@ MUTANTS = (
     (_CLI, "* (1 + (d * _coefficient_bits(modulus) >> 11)) > MAX_EVAL_WORK):",
      "> MAX_EVAL_WORK):",
      "eval's work bound ignores the modulus' coefficient size"),
+    # the facts the CLI states once
+    (_CLI, 'metavar="N", help=parallel_help)', 'metavar="N", help="worker processes for the sweep")',
+     "the shared report options give verify's --parallel the sweep's help"),
+    (_CLI, "[name for name, _ in family.rows]",
+     "[name for name, _ in family.rows if name not in family.golden_only]",
+     "report --list-checks leaves out the rows run only at the display triple"),
+    (_CLI, '_STATUSES = ("pass", "fail", "discrepancy")', '_STATUSES = ("pass", "discrepancy", "fail")',
+     "the tallies list discrepancies before failures"),
+    (_CLI, 'sum(report["summary"][status] for report in reports)',
+     'sum(report["summary"][status] for report in reports[1:])',
+     "the sweep summary leaves out the first triple"),
+    (_MAT, "result = g * result + identity.scale(c)", "result = result * g + identity.scale(c)",
+     "Horner multiplies by g on the right, so a wide g is refused by the accumulator's shape"),
     # the shared work a verify forms before its rows
     (_CLI, "(i, j): curvature_report(self.pres, d[i], d[j],",
      "(i, j): curvature_report(self.pres, d[0], d[1],",

@@ -70,6 +70,11 @@ def rebuild(example: str, p: int, q: int, r: int):
     return phi.applyfunc(sp.expand), fields, basis
 
 
+def derive(images, e):
+    """The derivation that sends x, y, z to images, applied to the expression e."""
+    return sum(v * sp.diff(e, s) for v, s in zip(images, SYMS))
+
+
 def _parse(text: str):
     return sp.parse_expr(text.replace("^", "**"), local_dict=_NAMES)
 
@@ -90,9 +95,6 @@ def check_report(report: dict) -> tuple[list[str], Counter]:
 
     def nf(e):
         return basis.reduce(sp.expand(e))[1]
-
-    def derive(images, e):
-        return sum(v * sp.diff(e, s) for v, s in zip(images, SYMS))
 
     dphi = [phi.applyfunc(lambda e, images=images: derive(images, e)) for images in fields]
     where = f"{example} {(p, q, r)}"
