@@ -260,9 +260,14 @@ def test_nf_module_function():
     assert str(value) == str(SPHERE.element(parse("x^4")))
 
 
+def test_point_checks():
+    assert SPHERE.require_point_on_surface((1, 0, 0)) == (1, 0, 0)
+    assert_refused(lambda: SPHERE.require_point_on_surface((1, 1, 1)), ValueError,
+                   "point is not on the hypersurface: f(point) = 2")
+
+
 def test_evaluate_requires_on_surface_point():
     # off-surface points are refused in test_misuse_is_refused
-    assert SPHERE.require_point_on_surface((1, 0, 0)) == (1, 0, 0)
     a = SPHERE.element("x*y + z")
     value = a.evaluate((0, 1, 0))
     assert value == GaussianRational(0)
